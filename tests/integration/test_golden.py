@@ -23,7 +23,7 @@ _GOLDEN = Path(__file__).parent.parent / "golden_s27_seed1.json"
 @pytest.fixture(scope="module")
 def golden():
     if not _GOLDEN.exists():
-        pytest.skip(
+        pytest.fail(
             f"golden fixture {_GOLDEN} is missing; regenerate it with "
             f"'PYTHONPATH=src python tests/integration/generate_golden.py'")
     return json.loads(_GOLDEN.read_text())
