@@ -12,17 +12,33 @@ site forced) — which is equivalent: a line carries ``D`` exactly when the
 two machines disagree on binary values.
 
 Implementation note: the inner machine works on an integer-indexed copy
-of the netlist (opcode dispatch, flat lists, index heaps).  PODEM spends
-its whole life in implication; the index form is ~20x faster than
-evaluating :class:`~repro.netlist.gates.GateType` objects through dicts,
-which is what makes ATPG on the s9234-class circuits tractable in pure
-Python.  All public interfaces speak line names.
+of the netlist (opcode dispatch, flat lists).  PODEM spends its whole
+life in implication, so every decision does only incremental work:
+
+* **Undo trail.**  Each time implication changes a line, the engine
+  pushes ``(line, old good, old bad)``; :meth:`PodemEngine.assign`
+  records a mark and :meth:`PodemEngine.unassign` pops back to it with
+  no re-simulation.  Three-valued forward implication on a DAG is a
+  function of the input assignment, so the restored state is exactly
+  the state before the matching assign.
+* **Cone-restricted faulty machine.**  Outside the fault's fanout cone
+  the faulty value equals the good value; the bad machine is evaluated
+  only where the per-fault ``in_cone`` flag is set.  Retargeting copies
+  the (fault-independent) all-X good state and evaluates the cone alone.
+* **Level buckets.**  Implication sweeps one pre-allocated list per
+  logic level instead of a heap; any level-ordered sweep reaches the
+  same fixed point.
+* **Live D-set.**  The set of lines carrying ``D`` is updated wherever a
+  value changes (implication, undo, retarget).  Detection is "some
+  D-line is observable"; the D-frontier is the X-output fanouts of the
+  D-lines in topological order, the order a scan of the cone yields.
+
+All public interfaces speak line names.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from collections.abc import Mapping
 
 from repro.atpg.faults import Fault, observable_lines
@@ -125,10 +141,13 @@ class PodemEngine:
     """Reusable PODEM engine over an integer-indexed netlist.
 
     The expensive circuit-wide structures — index maps, opcode/fanin/
-    fanout tables, SCOAP measures — are built **once**; each fault only
-    resets the value arrays and looks up its (cached) fanout cone.  Use
-    one engine per circuit when generating many tests
+    fanout tables, level buckets, SCOAP measures, the all-X good state —
+    are built **once**; each fault only re-evaluates its (cached) fanout
+    cone.  Use one engine per circuit when generating many tests
     (:func:`repro.atpg.generate.generate_tests` does).
+
+    Decisions are undone in LIFO order: :meth:`unassign` must name the
+    most recently assigned input that is still assigned.
     """
 
     def __init__(self, circuit: Circuit):
@@ -145,6 +164,8 @@ class PodemEngine:
         self.level: list[int] = [0] * n
         self.fanout: list[list[int]] = [[] for _ in range(n)]
         self.topo_idx: list[int] = []
+        #: position of each gate in ``topo_idx`` (D-frontier order)
+        self.topo_pos: list[int] = [0] * n
 
         for line in circuit.topo_order():
             li = self.index[line]
@@ -153,6 +174,7 @@ class PodemEngine:
             fin = tuple(self.index[s] for s in gate.inputs)
             self.fanin[li] = fin
             self.level[li] = circuit.level_of(line)
+            self.topo_pos[li] = len(self.topo_idx)
             self.topo_idx.append(li)
             for si in fin:
                 self.fanout[si].append(li)
@@ -169,117 +191,203 @@ class PodemEngine:
         self.cc1 = [scoap.cc1.get(name, 1) for name in names]
         self.co = [scoap.co.get(name, 0) for name in names]
 
-        self.good: list[int] = [X] * n
-        self.bad: list[int] = [X] * n
+        # Good machine with every input at X: the same for every fault.
+        self._x_good: list[int] = [X] * n
+        for li in self.topo_idx:
+            self._x_good[li] = _eval_op(self.op[li], self._x_good,
+                                        self.fanin[li])
+
+        self.good: list[int] = list(self._x_good)
+        self.bad: list[int] = list(self._x_good)
         self.assignment: dict[int, int] = {}
+        #: lines whose good and bad values are binary and differ
+        self.dset: set[int] = set()
         self._cone_cache: dict[int, list[int]] = {}
+        #: ``(line, old good, old bad)`` per implied value change
+        self._trail: list[tuple[int, int, int]] = []
+        #: ``(input, trail length)`` per live :meth:`assign`
+        self._marks: list[tuple[int, int]] = []
+        # implication work list: one bucket per level, plus queued flags
+        self._buckets: list[list[int]] = [
+            [] for _ in range(max(self.level, default=0) + 2)]
+        self._queued = bytearray(n)
 
         # fault-specific state, set by _retarget
         self.fault_idx = -1
         self.stuck = 0
         self.cone_idx: list[int] = []
+        self.in_cone = bytearray(n)
+
+    def _fanout_cone(self, li: int) -> list[int]:
+        """``li`` and its transitive fanout, in topological order."""
+        cone = self._cone_cache.get(li)
+        if cone is None:
+            seen = {li}
+            stack = [li]
+            while stack:
+                for si in self.fanout[stack.pop()]:
+                    if si not in seen:
+                        seen.add(si)
+                        stack.append(si)
+            seen.discard(li)
+            cone = [li] + sorted(seen, key=self.topo_pos.__getitem__)
+            self._cone_cache[li] = cone
+        return cone
 
     def _retarget(self, fault: Fault) -> None:
         """Point the engine at a new fault and reset the machines."""
         try:
-            self.fault_idx = self.index[fault.line]
+            fault_idx = self.index[fault.line]
         except KeyError:
             raise AtpgError(
                 f"fault line {fault.line!r} not in circuit") from None
+        in_cone = self.in_cone
+        for li in self.cone_idx:
+            in_cone[li] = 0
+        self.fault_idx = fault_idx
         self.stuck = fault.stuck_at
-        cone = self._cone_cache.get(self.fault_idx)
-        if cone is None:
-            cone_names = self.circuit.fanout_cone(fault.line)
-            cone = [li for li in self.topo_idx
-                    if self.names[li] in cone_names]
-            self._cone_cache[self.fault_idx] = cone
-        self.cone_idx = cone
+        self.cone_idx = self._fanout_cone(fault_idx)
+        for li in self.cone_idx:
+            in_cone[li] = 1
 
         self.assignment = {}
-        good, bad = self.good, self.bad
-        for i in range(len(good)):
-            good[i] = X
-            bad[i] = X
-        if self.op[self.fault_idx] == -1:
-            bad[self.fault_idx] = self.stuck
+        self._trail.clear()
+        self._marks.clear()
+        self.good[:] = self._x_good
+        self.bad[:] = self._x_good
         self._full_imply()
 
     # -- implication ---------------------------------------------------- #
 
     def _full_imply(self) -> None:
+        """Evaluate the faulty machine over the fault cone and rebuild
+        the D-set (the good machine and the bad machine outside the cone
+        are already consistent)."""
         good, bad = self.good, self.bad
-        for li in self.topo_idx:
-            good[li] = _eval_op(self.op[li], good, self.fanin[li])
-            if li == self.fault_idx:
+        op, fanin = self.op, self.fanin
+        fault_idx = self.fault_idx
+        dset = self.dset
+        dset.clear()
+        for li in self.cone_idx:
+            if li == fault_idx:
                 bad[li] = self.stuck
             else:
-                bad[li] = _eval_op(self.op[li], bad, self.fanin[li])
+                bad[li] = _eval_op(op[li], bad, fanin[li])
+            if good[li] ^ bad[li] == 1:
+                dset.add(li)
 
     def _propagate(self, seed: int) -> None:
-        good, bad = self.good, self.bad
-        level = self.level
-        pending: list[tuple[int, int]] = []
-        queued: set[int] = set()
-        for si in self.fanout[seed]:
-            queued.add(si)
-            heapq.heappush(pending, (level[si], si))
-        while pending:
-            _lv, li = heapq.heappop(pending)
-            queued.discard(li)
-            g = _eval_op(self.op[li], good, self.fanin[li])
-            if li == self.fault_idx:
-                b = self.stuck
-            else:
-                b = _eval_op(self.op[li], bad, self.fanin[li])
-            if g != good[li] or b != bad[li]:
-                good[li] = g
-                bad[li] = b
-                for si in self.fanout[li]:
-                    if si not in queued:
-                        queued.add(si)
-                        heapq.heappush(pending, (level[si], si))
+        """Event-driven implication of a change at ``seed``, swept in
+        level order; every value change is pushed on the trail."""
+        good, bad, dset, trail = self.good, self.bad, self.dset, self._trail
+        op, fanin, fanout, level = self.op, self.fanin, self.fanout, \
+            self.level
+        in_cone, fault_idx, stuck = self.in_cone, self.fault_idx, \
+            self.stuck
+        buckets, queued = self._buckets, self._queued
+        lv = top = level[seed] + 1
+        for si in fanout[seed]:
+            if not queued[si]:
+                queued[si] = 1
+                sl = level[si]
+                buckets[sl].append(si)
+                if sl > top:
+                    top = sl
+        while lv <= top:
+            bucket = buckets[lv]
+            lv += 1
+            if not bucket:
+                continue
+            for li in bucket:
+                queued[li] = 0
+                g = _eval_op(op[li], good, fanin[li])
+                if not in_cone[li]:
+                    og = good[li]
+                    if g == og:
+                        continue
+                    trail.append((li, og, og))
+                    good[li] = g
+                    bad[li] = g
+                else:
+                    if li == fault_idx:
+                        b = stuck
+                    else:
+                        b = _eval_op(op[li], bad, fanin[li])
+                    og, ob = good[li], bad[li]
+                    if g == og and b == ob:
+                        continue
+                    trail.append((li, og, ob))
+                    good[li] = g
+                    bad[li] = b
+                    if g ^ b == 1:
+                        dset.add(li)
+                    elif og ^ ob == 1:
+                        dset.discard(li)
+                for si in fanout[li]:
+                    if not queued[si]:
+                        queued[si] = 1
+                        sl = level[si]
+                        buckets[sl].append(si)
+                        if sl > top:
+                            top = sl
+            bucket.clear()
 
     def set_input(self, li: int, value: int) -> None:
-        self.good[li] = value
-        self.bad[li] = self.stuck if li == self.fault_idx else value
+        good, bad = self.good, self.bad
+        self._trail.append((li, good[li], bad[li]))
+        b = self.stuck if li == self.fault_idx else value
+        good[li] = value
+        bad[li] = b
+        if value ^ b == 1:
+            self.dset.add(li)
+        else:
+            self.dset.discard(li)
         self._propagate(li)
 
     def assign(self, li: int, value: int) -> None:
+        self._marks.append((li, len(self._trail)))
         self.assignment[li] = value
         self.set_input(li, value)
 
     def unassign(self, li: int) -> None:
+        """Undo the latest :meth:`assign` (of ``li``) from the trail."""
+        if not self._marks or self._marks[-1][0] != li:
+            raise AtpgError(
+                f"unassign({self.names[li]!r}) is not the latest decision")
+        _li, mark = self._marks.pop()
         del self.assignment[li]
-        self.set_input(li, X)
+        good, bad, dset, trail = self.good, self.bad, self.dset, self._trail
+        for line, g, b in reversed(trail[mark:]):
+            good[line] = g
+            bad[line] = b
+            if g ^ b == 1:
+                dset.add(line)
+            else:
+                dset.discard(line)
+        del trail[mark:]
 
     # -- state queries ---------------------------------------------------- #
 
     def is_d(self, li: int) -> bool:
-        g = self.good[li]
-        return g != X and self.bad[li] != X and g != self.bad[li]
+        # With X == 2, ``g ^ b == 1`` iff one value is 0 and the other 1.
+        return self.good[li] ^ self.bad[li] == 1
 
     def detected(self) -> bool:
-        return any(self.is_d(o) for o in self.obs_idx)
+        return not self.dset.isdisjoint(self.obs_set)
 
     def activated(self) -> bool:
-        return self.is_d(self.fault_idx)
+        return self.fault_idx in self.dset
 
     def activation_possible(self) -> bool:
         return self.good[self.fault_idx] != self.stuck
 
     def d_frontier(self) -> list[int]:
-        """Gates (inside the fault cone) with a D input and an
-        undetermined output, in topological order."""
-        frontier = []
-        good, bad = self.good, self.bad
-        for li in self.cone_idx:
-            if good[li] != X and bad[li] != X:
-                continue
-            for si in self.fanin[li]:
-                if self.is_d(si):
-                    frontier.append(li)
-                    break
-        return frontier
+        """Gates with a D input and an undetermined output, in
+        topological order (all of them lie inside the fault cone)."""
+        good, bad, fanout = self.good, self.bad, self.fanout
+        frontier = {si for d in self.dset for si in fanout[d]
+                    if good[si] == X or bad[si] == X}
+        return sorted(frontier, key=self.topo_pos.__getitem__)
 
     def has_x_path(self, li: int) -> bool:
         obs = self.obs_set

@@ -1,10 +1,14 @@
 """Tests for the reusable PODEM engine."""
 
+import random
+
 import pytest
 
 from repro.atpg.faults import Fault, all_faults
 from repro.atpg.podem import PodemEngine, generate_test
+from repro.benchgen.generator import generate_circuit
 from repro.errors import AtpgError
+from repro.techmap.mapper import technology_map
 
 
 class TestEngineReuse:
@@ -19,12 +23,22 @@ class TestEngineReuse:
             assert shared.assignment == fresh.assignment, str(fault)
 
     def test_engine_state_reset_between_faults(self, s27_mapped):
-        engine = PodemEngine(s27_mapped)
-        generate_test(s27_mapped, Fault("G17", 0), engine=engine)
-        # After a run, a second unrelated fault must start clean.
-        result = generate_test(s27_mapped, Fault("G10", 1), engine=engine)
-        assert result.status in ("detected", "untestable", "aborted")
-        assert not engine.assignment or result.detected
+        """One engine fed every fault of s27 and s344 in a shuffled
+        order returns exactly what a fresh engine returns per fault, so
+        no trail entry, mark, cone flag or D-set member outlives its
+        fault."""
+        s344 = technology_map(generate_circuit("s344", 1))
+        for circuit in (s27_mapped, s344):
+            faults = all_faults(circuit)
+            random.Random(7).shuffle(faults)
+            engine = PodemEngine(circuit)
+            for fault in faults:
+                shared = generate_test(circuit, fault, engine=engine)
+                fresh = generate_test(circuit, fault)
+                assert (shared.status, shared.assignment,
+                        shared.backtracks) == \
+                    (fresh.status, fresh.assignment,
+                     fresh.backtracks), str(fault)
 
     def test_wrong_circuit_rejected(self, s27_mapped, toy_mapped):
         engine = PodemEngine(s27_mapped)
