@@ -49,18 +49,19 @@ def _mixed_circuit() -> Circuit:
     return c
 
 
+def _generated(seed: int, mapped: bool) -> Circuit:
+    circuit = generate_from_stats(Iscas89Stats("orc", 5, 3, 4, 40), seed)
+    return technology_map(circuit) if mapped else circuit
+
+
 _BUILDERS = {
-    "s27": lambda: builders.s27(),
+    "s27": builders.s27,
     "s27_mapped": lambda: technology_map(builders.s27()),
     "mixed": _mixed_circuit,
-    **{f"gen{seed}": functools.partial(
-        generate_from_stats, Iscas89Stats("orc", 5, 3, 4, 40), seed)
-       for seed in (3, 11)},
-    **{f"gen{seed}_mapped": functools.partial(
-        lambda s: technology_map(
-            generate_from_stats(Iscas89Stats("orc", 5, 3, 4, 40), s)),
-        seed)
-       for seed in (5, 17)},
+    "gen3": lambda: _generated(3, mapped=False),
+    "gen11": lambda: _generated(11, mapped=False),
+    "gen5_mapped": lambda: _generated(5, mapped=True),
+    "gen17_mapped": lambda: _generated(17, mapped=True),
 }
 
 
