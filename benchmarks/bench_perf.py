@@ -163,17 +163,19 @@ def test_perf_episode_batch_speedup(benchmark, s1423_mapped):
 
     The Table-I measurement's shape: one scan episode per vector (74
     shift cycles + capture on s1423), evaluated over a full test set.
-    The legacy path builds waveforms with per-vector/cycle/line Python
-    loops plus one scalar capture simulation per vector; the batched
-    engine compiles one :class:`EpisodePlan` (single packed capture
-    pass + numpy shift tensor) and evaluates the whole replay in one
-    ``uint64``-matrix pass.  Reports are asserted equal (bit-identical
-    by contract) and the speedup is recorded as
-    ``episode_batch_speedup`` and enforced >= 2x on the numpy backend
-    (the regression gate diffs it across runs).
+    The serial oracle (``tests/oracle/scan_oracle.py``) builds
+    waveforms with per-vector/cycle/line Python loops plus one scalar
+    capture simulation per vector; the batched engine compiles one
+    :class:`EpisodePlan` (single packed capture pass + numpy shift
+    tensor) and evaluates the whole replay in one ``uint64``-matrix
+    pass.  Reports are asserted equal (bit-identical by contract) and
+    the speedup is recorded as ``episode_batch_speedup`` and enforced
+    >= 2x on the numpy backend (the regression gate diffs it across
+    runs).
     """
     from repro.power.scanpower import evaluate_scan_power
     from repro.scan.testview import ScanDesign, TestVector
+    from tests.oracle.scan_oracle import serial_scan_power
 
     design = ScanDesign.full_scan(s1423_mapped)
     gen = make_rng(7)
@@ -186,18 +188,20 @@ def test_perf_episode_batch_speedup(benchmark, s1423_mapped):
         for _ in range(32)
     ]
 
-    def run(batch):
-        return evaluate_scan_power(design, vectors, backend="numpy",
-                                   episode_batch=batch)
+    def run():
+        return evaluate_scan_power(design, vectors, backend="numpy")
 
-    batched = run(True)  # warms the schedule cache
-    serial = run(False)
+    def run_serial():
+        return serial_scan_power(design, vectors, backend="numpy")
+
+    batched = run()  # warms the schedule cache
+    serial = run_serial()
     assert batched == serial
 
-    serial_s = best_of(3, lambda: run(False))
-    batch_s = best_of(3, lambda: run(True))
-    result = benchmark.pedantic(run, args=(True,),
-                                rounds=1, iterations=1, warmup_rounds=0)
+    serial_s = best_of(3, run_serial)
+    batch_s = best_of(3, run)
+    result = benchmark.pedantic(run, rounds=1, iterations=1,
+                                warmup_rounds=0)
 
     speedup = serial_s / batch_s
     benchmark.extra_info["n_vectors"] = len(vectors)
@@ -254,8 +258,7 @@ def test_perf_tracing_disabled_overhead(benchmark, s1423_mapped,
     ]
 
     def run():
-        return evaluate_scan_power(design, vectors, backend="numpy",
-                                   episode_batch=True)
+        return evaluate_scan_power(design, vectors, backend="numpy")
 
     assert not obs_trace.tracing_enabled()
     reference = run()  # warms the schedule cache
@@ -391,11 +394,12 @@ ARRAY_API_EFFICIENCY_FLOOR = float(
 
 
 def test_perf_array_api_overhead(benchmark, s1423_mapped):
-    """array_api engine (numpy namespace) vs the direct numpy engine.
+    """array_api entry (numpy namespace) vs the pinned numpy entry.
 
-    Both engines now execute the *same* shared kernels
-    (``repro.simulation.kernels``); the ``array_api`` path additionally
-    resolves the namespace per dispatch and routes every slab through
+    Both registry entries are the same engine on the same shared
+    kernels (``repro.simulation.kernels``); the ``array_api`` entry
+    additionally resolves its namespace through the session/environment
+    chain per dispatch, while ``numpy`` is pinned.  Every slab crosses
     the ``to_device``/``to_host`` boundary (no-ops on numpy).  Results
     are asserted bit-identical and the relative efficiency
     numpy_s / array_api_s is recorded as

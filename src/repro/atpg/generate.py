@@ -107,7 +107,6 @@ def generate_tests(design: ScanDesign,
                    config: AtpgConfig | None = None,
                    backend: str | Backend | None = None,
                    fault_backend: str | Backend | None = None,
-                   fault_plan: bool | None = None,
                    stream_budget: int | None = None) -> TestSet:
     """Generate a compacted stuck-at test set for a full-scan design.
 
@@ -120,13 +119,10 @@ def generate_tests(design: ScanDesign,
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
     carries the fanout-cone cache and good-machine states across the
-    pipeline's batches.  ``fault_plan`` overrides the planned-replay
-    toggle for this run (``None`` = session default /
-    ``$REPRO_FAULT_PLAN``, default on); the legacy per-batch path is
-    the pinned reference and produces the identical test set.
-    ``stream_budget`` bounds the session's planned replays out of core
-    (``None`` = session default / ``$REPRO_STREAM_BUDGET``, ``0`` off);
-    streaming is bit-identical, so the test set never depends on it.
+    pipeline's batches.  ``stream_budget`` bounds the session's planned
+    replays out of core (``None`` = session default /
+    ``$REPRO_STREAM_BUDGET``, ``0`` off); streaming is bit-identical, so
+    the test set never depends on it.
 
     When the resolved fault engine is a sharding meta-backend that
     would actually split this circuit's collapsed universe, the inner
@@ -156,7 +152,7 @@ def generate_tests(design: ScanDesign,
         if active_shared_pool() is None:
             pool_ctx = engine.using_pool(ensure_shared_pool())
     with pool_ctx:
-        session = FaultSimSession(circuit, engine, plan=fault_plan,
+        session = FaultSimSession(circuit, engine,
                                   stream_budget=stream_budget)
         return _generate_tests(design, config, universe, session)
 
@@ -236,23 +232,21 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
 
     # final coverage accounting on the kept set
     n_detected = 0
-    if kept_vectors:
-        if session.plan_enabled and matrix is not None:
-            # The no-drop compaction matrix already holds, per fault,
-            # the word of detecting vectors; a fault is detected by the
-            # compacted set iff that word hits a kept column (per-
-            # pattern detection is independent, so this equals the
-            # legacy re-simulation bit for bit).
-            n_detected = sum(1 for word in matrix.detected.values()
-                             if word & kept_mask)
-        else:
-            # Legacy pinned reference: one more drop-mode pass over the
-            # compacted set.
-            assignments = [_vector_to_assignment(design, v)
-                           for v in kept_vectors]
-            words, n = pack_input_vectors(circuit, assignments)
-            final = session.simulate(universe, words, n, drop=True)
-            n_detected = final.n_detected
+    if matrix is not None:
+        # The no-drop compaction matrix already holds, per fault, the
+        # word of detecting vectors; a fault is detected by the
+        # compacted set iff that word hits a kept column (per-pattern
+        # detection is independent, so this equals a re-simulation of
+        # the compacted set bit for bit).
+        n_detected = sum(1 for word in matrix.detected.values()
+                         if word & kept_mask)
+    elif kept_vectors:
+        # Compaction off: one drop-mode pass over the kept set.
+        assignments = [_vector_to_assignment(design, v)
+                       for v in kept_vectors]
+        words, n = pack_input_vectors(circuit, assignments)
+        n_detected = session.simulate(universe, words, n,
+                                      drop=True).n_detected
 
     return TestSet(
         vectors=kept_vectors,
@@ -273,40 +267,16 @@ def _reverse_compact(design: ScanDesign, universe: list[Fault],
     word of detecting vectors; the reverse greedy pass is then pure bit
     arithmetic.  Returns ``(kept vectors, packed keep mask, matrix)`` so
     the final coverage accounting can be read off the matrix instead of
-    re-simulating (plan path).
-
-    The greedy pass itself runs vectorized (numpy bool matrix + column
-    reductions) on the planned path and as the original big-int scan on
-    the legacy path; both produce the identical keep-set (pinned by
-    tests).
+    re-simulating.  The greedy pass runs vectorized
+    (:func:`_greedy_keep_vectorized`).
     """
     circuit = design.circuit
     assignments = [_vector_to_assignment(design, v) for v in vectors]
     words, n = pack_input_vectors(circuit, assignments)
     matrix = session.simulate(universe, words, n, drop=False)
-
-    if session.plan_enabled:
-        keep = _greedy_keep_vectorized(matrix, len(vectors))
-    else:
-        keep = _greedy_keep_bigint(matrix, len(vectors))
+    keep = _greedy_keep_vectorized(matrix, len(vectors))
     kept_mask = sum(1 << t for t, k in enumerate(keep) if k)
     return [v for v, k in zip(vectors, keep) if k], kept_mask, matrix
-
-
-def _greedy_keep_bigint(matrix: FaultSimResult,
-                        n_vectors: int) -> list[bool]:
-    """Reference reverse-greedy keep-set: big-int column scans."""
-    still_uncovered = [word for word in matrix.detected.values() if word]
-    keep: list[bool] = [False] * n_vectors
-    for t in range(n_vectors - 1, -1, -1):
-        bit = 1 << t
-        hits = [w for w in still_uncovered if w & bit]
-        if hits:
-            keep[t] = True
-            still_uncovered = [w for w in still_uncovered if not (w & bit)]
-        if not still_uncovered:
-            break
-    return keep
 
 
 def _greedy_keep_vectorized(matrix: FaultSimResult,
@@ -315,8 +285,8 @@ def _greedy_keep_vectorized(matrix: FaultSimResult,
 
     The detection words become a ``(faults, vectors)`` bool matrix once;
     each reverse step is then one column AND / row update instead of an
-    O(faults) Python list scan per vector.  Identical keep-set to
-    :func:`_greedy_keep_bigint` by construction (the same faults are
+    O(faults) Python list scan per vector.  Identical keep-set to the
+    plain big-int reverse scan by construction (the same faults are
     covered and removed at every step).
     """
     words = [word for word in matrix.detected.values() if word]

@@ -7,10 +7,12 @@ replays the entire scan episode cycle by cycle:
 * per test vector: ``L`` shift cycles (the response of the previous
   vector shifts out while the new one shifts in), then one capture cycle
   in normal mode (multiplexers transparent, PIs at their test values);
-* the settled combinational state of every cycle is simulated in one
-  packed pass; transitions are weighted by switched capacitance (dynamic,
-  eq. 1) and each cycle's gate input patterns are priced with the leakage
-  tables (static, eq. 5).
+* the whole test set compiles into one
+  :class:`~repro.simulation.episode.EpisodePlan` and the settled
+  combinational state of every cycle is simulated in one packed pass
+  (``Backend.simulate_episode_batch``); transitions are weighted by
+  switched capacitance (dynamic, eq. 1) and each cycle's gate input
+  patterns are priced with the leakage tables (static, eq. 5).
 
 Reported metrics mirror Table I exactly: dynamic as energy/cycle in uW/Hz
 (multiply by the shift frequency for watts), static as the mean leakage
@@ -26,7 +28,6 @@ import numpy as np
 
 from repro.cells.capacitance import switched_caps_ff
 from repro.cells.library import CellLibrary, default_library
-from repro.errors import ScanError
 from repro.leakage.estimator import _word_to_bool_array, leakage_power_uw
 from repro.power.dynamic import (
     energy_per_cycle_uw_per_hz,
@@ -34,12 +35,7 @@ from repro.power.dynamic import (
 )
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend, resolve_backend
-from repro.simulation.cyclesim import simulate_cycles
-from repro.simulation.episode import (
-    compile_episode_plan,
-    episode_batching_enabled,
-)
-from repro.simulation.values import pack_bits
+from repro.simulation.episode import EpisodePlan, compile_episode_plan
 
 __all__ = ["ShiftPolicy", "ScanPowerReport", "evaluate_scan_power",
            "per_cycle_energy_fj", "episode_waveforms"]
@@ -91,74 +87,22 @@ class ScanPowerReport:
                 pct(baseline.static_uw, self.static_uw))
 
 
-def _policy_pi_bit(policy: ShiftPolicy, pi: str, vector: TestVector) -> int:
-    if policy.pi_values is not None and pi in policy.pi_values:
-        return policy.pi_values[pi]
-    return vector.pi_values[pi]
-
-
-def _episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
-                       policy: ShiftPolicy, include_capture: bool,
-                       initial_state: Sequence[int] | None
-                       ) -> tuple[dict[str, int], int]:
-    """Per-line packed waveforms of the whole scan episode (serial path).
-
-    Shift cycles present the policy's constants (PIs, MUX ties) and the
-    live chain state on non-muxed pseudo-inputs; capture cycles present
-    the test vector itself (MUXes transparent in normal mode).
-
-    This is the legacy per-vector, per-cycle, per-line loop, kept as
-    the reference the batched episode compiler
-    (:func:`repro.simulation.episode.compile_episode_plan`) is pinned
-    against (same words, bit for bit) and as the fallback when episode
-    batching is switched off.
-    """
-    circuit = design.circuit
-    chain = design.chain
-    if not vectors:
-        raise ScanError("empty test set")
-    unknown_mux = set(policy.mux_ties) - set(chain.q_lines)
-    if unknown_mux:
-        raise ScanError(f"mux ties on unknown cells: {sorted(unknown_mux)}")
-
-    state = tuple(initial_state) if initial_state is not None \
-        else (0,) * chain.length
-    if len(state) != chain.length:
-        raise ScanError("initial state length mismatch")
-
-    pi_bits: dict[str, list[int]] = {pi: [] for pi in circuit.inputs}
-    q_bits: dict[str, list[int]] = {q: [] for q in chain.q_lines}
-    for vector in vectors:
-        if len(vector.scan_state) != chain.length:
-            raise ScanError("test vector scan state length mismatch")
-        shift_states = chain.load_states(state, vector.scan_state)
-        for cycle_state in shift_states:
-            for pi in circuit.inputs:
-                pi_bits[pi].append(_policy_pi_bit(policy, pi, vector))
-            for cell, bit in zip(chain.cells, cycle_state):
-                tie = policy.mux_ties.get(cell.q)
-                q_bits[cell.q].append(bit if tie is None else tie)
-        if shift_states[-1] != vector.scan_state:
-            raise ScanError("shift protocol failed to load the vector")
-        if include_capture:
-            for pi in circuit.inputs:
-                pi_bits[pi].append(vector.pi_values[pi])
-            for cell, bit in zip(chain.cells, vector.scan_state):
-                q_bits[cell.q].append(bit)
-        state, _po_values = design.capture(vector)
-
-    all_bits = {**pi_bits, **q_bits}
-    n_cycles = len(next(iter(all_bits.values())))
-    waveforms = {line: pack_bits(bits) for line, bits in all_bits.items()}
-    return waveforms, n_cycles
+def _episode_plan(design: ScanDesign, vectors: Sequence[TestVector],
+             policy: ShiftPolicy, include_capture: bool,
+             initial_state: Sequence[int] | None,
+             engine: Backend) -> EpisodePlan:
+    """The whole scan episode of ``vectors`` under ``policy``."""
+    return compile_episode_plan(
+        design, vectors, pi_values=policy.pi_values,
+        mux_ties=policy.mux_ties, include_capture=include_capture,
+        initial_state=initial_state, backend=engine)
 
 
 def episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
                       policy: ShiftPolicy | None = None,
                       include_capture: bool = True,
                       initial_state: Sequence[int] | None = None,
-                      backend: str | Backend | None = None,
-                      episode_batch: bool | None = None
+                      backend: str | Backend | None = None
                       ) -> tuple[dict[str, int], int]:
     """Public wrapper over the episode waveform builder.
 
@@ -171,19 +115,11 @@ def episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
     (e.g. ``sharded``) resolves here to one engine instance whose inner
     delegation applies uniformly, never re-resolved per vector — the
     resolve-once convention every public entry point follows.
-    ``episode_batch`` (default: ``$REPRO_EPISODE_BATCH``, on) picks the
-    batched compiler or the legacy serial loop; both return the same
-    words bit for bit.
     """
-    policy = policy or ShiftPolicy()
-    if episode_batching_enabled(episode_batch):
-        plan = compile_episode_plan(
-            design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, include_capture=include_capture,
-            initial_state=initial_state, backend=resolve_backend(backend))
-        return plan.waveforms, plan.n_cycles
-    return _episode_waveforms(design, vectors, policy,
-                              include_capture, initial_state)
+    plan = _episode_plan(design, vectors, policy or ShiftPolicy(),
+                    include_capture, initial_state,
+                    resolve_backend(backend))
+    return plan.waveforms, plan.n_cycles
 
 
 def evaluate_scan_power(design: ScanDesign,
@@ -193,7 +129,6 @@ def evaluate_scan_power(design: ScanDesign,
                         include_capture: bool = True,
                         initial_state: Sequence[int] | None = None,
                         backend: str | Backend | None = None,
-                        episode_batch: bool | None = None,
                         stream_budget: int | None = None
                         ) -> ScanPowerReport:
     """Replay a scan test set and measure combinational power.
@@ -220,10 +155,6 @@ def evaluate_scan_power(design: ScanDesign,
         simulation to their inner engine, so any registered name works
         here.  Resolved exactly once per call and reused for the
         capture pre-pass and the batch evaluation.
-    episode_batch:
-        ``True``/``False`` force the batched episode engine on/off;
-        ``None`` defers to ``$REPRO_EPISODE_BATCH`` (default on).  The
-        two paths are bit-identical; only speed changes.
     stream_budget:
         Out-of-core streaming budget for the batch evaluation
         (``uint64`` elements of one window's state matrix); ``None``
@@ -234,37 +165,22 @@ def evaluate_scan_power(design: ScanDesign,
     library = library or default_library()
     circuit = design.circuit
     engine = resolve_backend(backend)
-
-    if episode_batching_enabled(episode_batch):
-        plan = compile_episode_plan(
-            design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, include_capture=include_capture,
-            initial_state=initial_state, backend=engine)
-        batch = engine.simulate_episode_batch(plan, library,
-                                              collect_leakage=True,
-                                              stream_budget=stream_budget)
-        n_cycles = batch.n_cycles
-        transitions = batch.transitions
-        total_transitions = batch.total_transitions
-        mean_leak_na = batch.mean_leakage_na
-    else:
-        waveforms, n_cycles = _episode_waveforms(
-            design, vectors, policy, include_capture, initial_state)
-        result = simulate_cycles(circuit, waveforms, n_cycles, library,
-                                 collect_leakage=True, backend=engine)
-        transitions = result.transitions
-        total_transitions = result.total_transitions
-        mean_leak_na = result.mean_leakage_na
-    energy_fj = switching_energy_fj(circuit, transitions, library)
+    plan = _episode_plan(design, vectors, policy, include_capture,
+                    initial_state, engine)
+    batch = engine.simulate_episode_batch(plan, library,
+                                          collect_leakage=True,
+                                          stream_budget=stream_budget)
+    energy_fj = switching_energy_fj(circuit, batch.transitions, library)
     return ScanPowerReport(
         circuit_name=circuit.name,
         policy_name=policy.name,
         n_vectors=len(vectors),
-        n_cycles=n_cycles,
-        dynamic_uw_per_hz=energy_per_cycle_uw_per_hz(energy_fj, n_cycles),
-        static_uw=leakage_power_uw(mean_leak_na, library.vdd),
-        total_transitions=total_transitions,
-        mean_leakage_na=mean_leak_na,
+        n_cycles=batch.n_cycles,
+        dynamic_uw_per_hz=energy_per_cycle_uw_per_hz(energy_fj,
+                                                     batch.n_cycles),
+        static_uw=leakage_power_uw(batch.mean_leakage_na, library.vdd),
+        total_transitions=batch.total_transitions,
+        mean_leakage_na=batch.mean_leakage_na,
     )
 
 
@@ -274,37 +190,26 @@ def per_cycle_energy_fj(design: ScanDesign,
                         library: CellLibrary | None = None,
                         include_capture: bool = True,
                         backend: str | Backend | None = None,
-                        episode_batch: bool | None = None,
                         stream_budget: int | None = None
                         ) -> np.ndarray:
     """Per-cycle-boundary switching energy profile (peak-power studies).
 
     Memory/time scale with lines x cycles; intended for the smaller
     circuits (ablation benches use it, Table I does not need it).  The
-    backend is resolved once per call; ``episode_batch`` and
-    ``stream_budget`` follow :func:`evaluate_scan_power` (the profile
-    itself still materializes every line's waveform).
+    backend is resolved once per call; ``stream_budget`` follows
+    :func:`evaluate_scan_power` (the profile itself still materializes
+    every line's waveform).
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
     circuit = design.circuit
     engine = resolve_backend(backend)
-    if episode_batching_enabled(episode_batch):
-        plan = compile_episode_plan(
-            design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, include_capture=include_capture,
-            initial_state=None, backend=engine)
-        batch = engine.simulate_episode_batch(
-            plan, library, collect_leakage=False, keep_waveforms=True,
-            stream_budget=stream_budget)
-        n_cycles, line_waveforms = batch.n_cycles, batch.waveforms
-    else:
-        waveforms, n_cycles = _episode_waveforms(
-            design, vectors, policy, include_capture, None)
-        sim = simulate_cycles(circuit, waveforms, n_cycles, library,
-                              collect_leakage=False, keep_waveforms=True,
-                              backend=engine)
-        line_waveforms = sim.waveforms
+    plan = _episode_plan(design, vectors, policy, include_capture, None,
+                         engine)
+    batch = engine.simulate_episode_batch(
+        plan, library, collect_leakage=False, keep_waveforms=True,
+        stream_budget=stream_budget)
+    n_cycles, line_waveforms = batch.n_cycles, batch.waveforms
     caps = switched_caps_ff(circuit, library)
     profile = np.zeros(max(n_cycles - 1, 0), dtype=np.float64)
     assert line_waveforms is not None

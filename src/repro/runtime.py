@@ -1,30 +1,23 @@
 """Unified runtime-options surface: one session-default store.
 
-Six PRs grew six runtime knobs — simulation backend, fault backend,
-shard count, episode batching, fault planning and the streaming
-budget — each with its own session setter
-(``set_default_backend``, ``set_default_episode_batching``,
-``set_default_fault_planning``, ``set_default_stream_budget``) plus an
-environment variable.  Every knob is *runtime-only*: it changes speed
-or peak memory, never results (all engines are bit-identical by
-contract), so none participates in
-:meth:`~repro.core.config.FlowConfig.config_hash`.
+Every engine knob — simulation backend, fault backend, shard count,
+streaming budget, trace directory, array namespace and the chaos spec —
+is *runtime-only*: it changes speed, peak memory or observability,
+never results (all engines are bit-identical by contract), so none
+participates in :meth:`~repro.core.config.FlowConfig.config_hash`.
 
-This module consolidates them into a single frozen
-:class:`RuntimeOptions` record and three entry points:
+This module keeps them in a single frozen :class:`RuntimeOptions`
+record with three entry points:
 
 * :func:`set_session_defaults` — install session defaults (wholesale
   via a :class:`RuntimeOptions`, or patch single fields via kwargs);
 * :func:`session_defaults` — the currently installed options;
 * :func:`using` — a context manager installing options temporarily.
 
-The per-knob resolvers keep their documented precedence — explicit
-per-call argument > session default > environment variable > built-in
-default (:func:`repro.simulation.toggles.resolve_toggle` semantics) —
-but all read the *session* level from the one store here, so a server
-resolving per-request options, the CLI and library callers share one
-surface.  The legacy per-knob setters remain as thin deprecated shims
-delegating to :func:`set_session_defaults`.
+Every knob resolves with one precedence — explicit per-call argument >
+session default > environment variable > built-in default — and reads
+the *session* level from the one store here, so a server resolving
+per-request options, the CLI and library callers share one surface.
 
 Session defaults are process-global and do **not** cross process
 boundaries (pool/shard workers re-resolve from their own environment,
@@ -35,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import warnings
 from collections.abc import Iterator
 
 from repro.errors import ConfigError
@@ -67,12 +59,6 @@ class RuntimeOptions:
     shards:
         Worker-process count for the ``sharded`` backend
         (``$REPRO_SIM_SHARDS``, else CPU count).
-    episode_batch:
-        Batched whole-test-set episode engine
-        (``$REPRO_EPISODE_BATCH``, default on).
-    fault_plan:
-        Planned fault x pattern replay (``$REPRO_FAULT_PLAN``,
-        default on).
     stream_budget:
         Out-of-core streaming budget in ``uint64`` elements
         (``$REPRO_STREAM_BUDGET``, default off; ``0`` pins off).
@@ -101,8 +87,6 @@ class RuntimeOptions:
     backend: str | None = None
     fault_backend: str | None = None
     shards: int | None = None
-    episode_batch: bool | None = None
-    fault_plan: bool | None = None
     stream_budget: int | None = None
     trace: str | None = None
     array_namespace: str | None = None
@@ -186,7 +170,7 @@ def set_session_defaults(options: RuntimeOptions | None = None,
     ``set_session_defaults(options)`` installs ``options`` wholesale
     (an all-``None`` :class:`RuntimeOptions` — or plain
     ``set_session_defaults()`` — resets the session).  Keyword form
-    ``set_session_defaults(episode_batch=False)`` patches only the
+    ``set_session_defaults(stream_budget=0)`` patches only the
     named fields of the current session.  Mixing both applies the
     kwargs on top of ``options``.
     """
@@ -221,11 +205,3 @@ def using(options: RuntimeOptions | None = None,
     finally:
         set_session_defaults(previous)
 
-
-def _deprecated_setter(name: str, field: str, value) -> None:
-    """Shared body of the legacy per-knob session setters."""
-    warnings.warn(
-        f"{name}() is deprecated; use repro.runtime."
-        f"set_session_defaults({field}=...)",
-        DeprecationWarning, stacklevel=3)
-    set_session_defaults(**{field: value})

@@ -35,8 +35,7 @@ from repro.power.scanpower import ScanPowerReport, ShiftPolicy
 from repro.scan.chain import ScanCell, ScanChain
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend, resolve_backend
-from repro.simulation.cyclesim import simulate_cycles
-from repro.simulation.episode import EpisodePlan, episode_batching_enabled
+from repro.simulation.episode import EpisodePlan
 from repro.simulation.eval2 import simulate_comb
 from repro.simulation.values import pack_bits
 
@@ -177,8 +176,7 @@ def evaluate_multichain_power(design: MultiChainDesign,
                               policy: ShiftPolicy | None = None,
                               library: CellLibrary | None = None,
                               include_capture: bool = True,
-                              backend: str | Backend | None = None,
-                              episode_batch: bool | None = None
+                              backend: str | Backend | None = None
                               ) -> ScanPowerReport:
     """Replay a scan test set with all chains shifting in parallel.
 
@@ -187,12 +185,9 @@ def evaluate_multichain_power(design: MultiChainDesign,
     capture cycle), during which each chain walks its own contents.
     ``backend`` accepts any registered engine, including meta-backends
     like ``sharded``; it is resolved exactly once per call and affects
-    speed only.  With episode batching on (``episode_batch`` following
-    :func:`~repro.power.scanpower.evaluate_scan_power`'s resolution),
-    evaluation goes through ``Backend.simulate_episode_batch`` so
-    sharding meta-backends may chunk the cycle axis of oversized
-    replays; off, it runs the plain cycle simulation.  Both paths are
-    bit-identical.
+    speed only.  Evaluation goes through
+    ``Backend.simulate_episode_batch``, so sharding meta-backends may
+    chunk the cycle axis of oversized replays.
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
@@ -241,17 +236,13 @@ def evaluate_multichain_power(design: MultiChainDesign,
     all_bits = {**pi_bits, **q_bits}
     n_cycles = len(next(iter(all_bits.values())))
     waveforms = {line: pack_bits(bits) for line, bits in all_bits.items()}
-    if episode_batching_enabled(episode_batch):
-        per_episode = segment + (1 if include_capture else 0)
-        plan = EpisodePlan(
-            circuit=circuit, waveforms=waveforms, n_cycles=n_cycles,
-            offsets=tuple(range(0, n_cycles, per_episode)),
-            lengths=(per_episode,) * len(vectors))
-        result = engine.simulate_episode_batch(plan, library,
-                                               collect_leakage=True)
-    else:
-        result = simulate_cycles(circuit, waveforms, n_cycles, library,
-                                 collect_leakage=True, backend=engine)
+    per_episode = segment + (1 if include_capture else 0)
+    plan = EpisodePlan(
+        circuit=circuit, waveforms=waveforms, n_cycles=n_cycles,
+        offsets=tuple(range(0, n_cycles, per_episode)),
+        lengths=(per_episode,) * len(vectors))
+    result = engine.simulate_episode_batch(plan, library,
+                                           collect_leakage=True)
     energy_fj = switching_energy_fj(circuit, result.transitions, library)
     return ScanPowerReport(
         circuit_name=circuit.name,

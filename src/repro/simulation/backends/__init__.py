@@ -1,13 +1,13 @@
 """Pluggable packed-simulation backends.
 
-Four engines ship with the library:
+Four registry entries ship with the library:
 
 * ``bigint`` — the reference engine (Python big-int bitwise ops);
 * ``numpy`` — levelized, type-batched ``uint64`` matrix engine, with a
   fused batched fault-simulation kernel
-  (:mod:`repro.simulation.backends.fault_kernel`);
-* ``array_api`` — the same kernels (shared via
-  :mod:`repro.simulation.kernels`) on a configurable array namespace
+  (:mod:`repro.simulation.backends.fault_kernel`): the
+  :class:`ArrayApiBackend` pinned to the numpy namespace;
+* ``array_api`` — the same engine on a configurable array namespace
   (``numpy`` default, ``cupy``/other via ``--array-namespace`` /
   :attr:`repro.runtime.RuntimeOptions.array_namespace` /
   ``$REPRO_ARRAY_NAMESPACE``) — the GPU/accelerator path;
@@ -48,7 +48,6 @@ from repro.errors import SimulationError
 from repro.simulation.backends.array_api import ArrayApiBackend, ArrayApiState
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.backends.bigint import BigIntBackend, BigIntState
-from repro.simulation.backends.numpy_backend import NumpyBackend, NumpyState
 from repro.simulation.backends.sharded import ShardedBackend
 
 __all__ = [
@@ -58,8 +57,6 @@ __all__ = [
     "ArrayApiState",
     "BigIntBackend",
     "BigIntState",
-    "NumpyBackend",
-    "NumpyState",
     "ShardedBackend",
     "register_backend",
     "available_backends",
@@ -173,6 +170,6 @@ def resolve_fault_backend(backend: str | Backend | None) -> Backend:
 
 
 register_backend(BigIntBackend())
-register_backend(NumpyBackend())
+register_backend(ArrayApiBackend("numpy", name="numpy"))
 register_backend(ArrayApiBackend())
 register_backend(ShardedBackend())

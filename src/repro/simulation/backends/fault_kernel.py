@@ -58,7 +58,7 @@ from repro.simulation.schedule import (
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be cyclic
     from repro.atpg.faults import Fault
     from repro.atpg.faultsim import FaultSimResult
-    from repro.simulation.backends.numpy_backend import NumpyState
+    from repro.simulation.backends.array_api import ArrayApiState
 
 __all__ = ["FaultSimPlan", "cached_fault_plan", "fault_simulate_matrix",
            "tile_geometry"]
@@ -194,7 +194,7 @@ def tile_geometry(plan: FaultSimPlan, n_words: int,
     return geometry
 
 
-def fault_simulate_matrix(state: "NumpyState",
+def fault_simulate_matrix(state: "ArrayApiState",
                           faults: "Sequence[Fault]",
                           drop: bool = True,
                           element_budget: int | None = None,
@@ -204,7 +204,7 @@ def fault_simulate_matrix(state: "NumpyState",
     """Batched fault simulation over a settled packed state, 2-D tiled.
 
     ``state`` is the fault-free simulation of the target patterns
-    (:meth:`NumpyBackend.run`); the result is bit-identical to
+    (:meth:`ArrayApiBackend.run`); the result is bit-identical to
     :func:`repro.atpg.faultsim.scalar_fault_simulate` on the same
     stimulus, including ``remaining`` ordering, for **every** tile
     geometry (:func:`tile_geometry`): the fault axis is chunked under

@@ -2,12 +2,11 @@
 
 The paper's Table I / Figure 2 measurements replay scan *episodes*: per
 test vector, ``L`` shift cycles (the previous response shifts out while
-the next vector shifts in) followed by one capture cycle.  The legacy
-builder in :mod:`repro.power.scanpower` assembled those waveforms with
-per-vector, per-cycle, per-line Python loops and one
-:func:`~repro.scan.testview.ScanDesign.capture` simulation per vector —
-so a vectorized backend only ever accelerated the innermost simulation
-step.
+the next vector shifts in) followed by one capture cycle.  Building
+those waveforms with per-vector, per-cycle, per-line Python loops and
+one :func:`~repro.scan.testview.ScanDesign.capture` simulation per
+vector would leave a vectorized backend accelerating only the innermost
+simulation step.
 
 This module compiles a :class:`~repro.scan.testview.ScanDesign` plus a
 full test set into a single :class:`EpisodePlan`:
@@ -26,15 +25,12 @@ numpy engine) and returns an :class:`EpisodeBatchResult`; the ``sharded``
 meta-backend splits the *pattern/cycle axis* of oversized plans under a
 memory budget and merges chunk results with integer-exact arithmetic.
 
-Everything stays bit-identical to the legacy per-episode path: the plan's
-packed words equal the loop-built waveforms bit for bit, so transitions,
-leakage sums and every derived power metric follow.  The differential
-property tests in ``tests/properties`` pin this across backends and
-shard counts.
-
-The batched path is on by default; ``$REPRO_EPISODE_BATCH`` (``0``/``1``)
-or the per-call ``episode_batch=`` argument override it (the CLI's
-``--episode-batch on|off`` flag sets the same knob per run).
+This is the only replay path of :mod:`repro.power.scanpower` and
+:mod:`repro.scan.multichain`.  The plan's packed words equal those of
+the per-vector, per-cycle serial loop bit for bit, so transitions,
+leakage sums and every derived power metric follow; that loop lives on
+as the test-suite oracle, and the differential property tests in
+``tests/properties`` pin the equality across backends and shard counts.
 """
 
 from __future__ import annotations
@@ -57,41 +53,7 @@ __all__ = [
     "EpisodePlan",
     "EpisodeBatchResult",
     "compile_episode_plan",
-    "episode_batching_enabled",
-    "set_default_episode_batching",
-    "DEFAULT_EPISODE_BATCH_ENV",
 ]
-
-#: Environment variable toggling the batched episode engine (``1`` on,
-#: ``0`` off; unset = on).
-DEFAULT_EPISODE_BATCH_ENV = "REPRO_EPISODE_BATCH"
-
-
-def set_default_episode_batching(flag: bool | None) -> None:
-    """Deprecated: install the session-default episode-batching switch.
-
-    Thin shim over the unified runtime-options surface — use
-    ``repro.runtime.set_session_defaults(episode_batch=flag)`` (or the
-    :func:`repro.runtime.using` context manager) instead.  ``None``
-    resets to the environment/built-in default.
-    """
-    from repro.runtime import _deprecated_setter
-    _deprecated_setter("set_default_episode_batching", "episode_batch",
-                       flag)
-
-
-def episode_batching_enabled(flag: bool | None = None) -> bool:
-    """Resolve the episode-batching switch.
-
-    An explicit ``flag`` wins, then the session default
-    (:attr:`repro.runtime.RuntimeOptions.episode_batch`), then
-    ``$REPRO_EPISODE_BATCH``, defaulting to **on** (the batched path is
-    bit-identical to the legacy loop, so only speed changes).
-    """
-    from repro.runtime import session_defaults
-    from repro.simulation.toggles import resolve_toggle
-    return resolve_toggle(DEFAULT_EPISODE_BATCH_ENV, flag,
-                          session_defaults().episode_batch)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,8 +66,8 @@ class EpisodePlan:
         The circuit the stimulus drives (combinational part).
     waveforms:
         Per-line packed interchange words covering every episode's
-        cycles back to back — bit-identical to the legacy per-episode
-        waveform builder's output.
+        cycles back to back — bit-identical to the serial per-episode
+        reference loop's output.
     n_cycles:
         Total cycle count over all episodes.
     offsets:
@@ -205,8 +167,8 @@ def compile_episode_plan(design: "ScanDesign",
     packed simulation on ``backend`` (resolved once; a meta backend
     delegates to its inner engine).
 
-    The packed words are bit-identical to the legacy per-episode
-    builder for every input; the shift protocol itself is generated
+    The packed words are bit-identical to the serial per-episode
+    reference loop for every input; the shift protocol itself is generated
     from the chain's index mapping, whose "last state equals the
     vector" invariant holds by construction.
     """

@@ -1,7 +1,7 @@
 """Fault x pattern batched replay: whole-test-set fault detection.
 
-PR 4 turned whole-test-set *power* replay into one matrix
-(:mod:`repro.simulation.episode`); this module does the same for fault
+:mod:`repro.simulation.episode` turns whole-test-set *power* replay
+into one matrix; this module does the same for fault
 detection — the dominant cost of ATPG and of every Table-I run.  The
 scan-power literature evaluates fault coverage over the *entire* applied
 test set, which is exactly the fault x pattern detection matrix, so
@@ -29,15 +29,13 @@ state cache and the shared fanout-cone cache across the many batches of
 one ATPG run (or one campaign circuit), so incremental fault dropping
 never recomputes shared state.
 
-Everything is bit-identical to the per-batch reference path: detection
-words, ``remaining`` ordering, coverage statistics and compacted test
-sets never depend on the engine, the tile geometry or the shard count —
-the differential property tests in ``tests/properties`` pin this.  The
-planned path is on by default; ``$REPRO_FAULT_PLAN`` (``0``/``1``), a
-session default installed via :func:`set_default_fault_planning` (the
-CLI's ``--fault-plan on|off`` flag) or a per-call flag override it.
-The toggle is runtime-only and excluded from
-:meth:`~repro.core.config.FlowConfig.config_hash`.
+Every session call compiles a plan.  Everything is bit-identical to the
+per-batch
+:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
+reference: detection words, ``remaining`` ordering, coverage statistics
+and compacted test sets never depend on the engine, the tile geometry
+or the shard count.  The differential property tests in
+``tests/properties`` pin this against a per-batch session double.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from typing import TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.obs.trace import span
-from repro.simulation.toggles import resolve_toggle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faults import Fault
@@ -60,39 +57,7 @@ __all__ = [
     "FaultEpisodePlan",
     "FaultSimSession",
     "compile_fault_episode_plan",
-    "fault_planning_enabled",
-    "set_default_fault_planning",
-    "DEFAULT_FAULT_PLAN_ENV",
 ]
-
-#: Environment variable toggling the planned fault-replay engine
-#: (``1`` on, ``0`` off; unset = on).
-DEFAULT_FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-
-def set_default_fault_planning(flag: bool | None) -> None:
-    """Deprecated: install the session-default fault-planning switch.
-
-    Thin shim over the unified runtime-options surface — use
-    ``repro.runtime.set_session_defaults(fault_plan=flag)`` (or the
-    :func:`repro.runtime.using` context manager) instead.  ``None``
-    resets to the environment/built-in default.
-    """
-    from repro.runtime import _deprecated_setter
-    _deprecated_setter("set_default_fault_planning", "fault_plan", flag)
-
-
-def fault_planning_enabled(flag: bool | None = None) -> bool:
-    """Resolve the fault-planning switch.
-
-    An explicit ``flag`` wins, then the session default
-    (:attr:`repro.runtime.RuntimeOptions.fault_plan`), then
-    ``$REPRO_FAULT_PLAN``, defaulting to **on** (the planned path is
-    bit-identical to the per-batch loop, so only speed changes).
-    """
-    from repro.runtime import session_defaults
-    return resolve_toggle(DEFAULT_FAULT_PLAN_ENV, flag,
-                          session_defaults().fault_plan)
 
 
 class FaultEpisodePlan:
@@ -206,9 +171,8 @@ class FaultSimSession:
     Carries the resolved engine, the shared fanout-cone cache and a
     bounded good-machine state pool across *many* fault-simulation
     calls (ATPG batches, compaction, coverage accounting), so
-    incremental fault dropping never recomputes shared state.  The
-    session resolves the planning toggle **once** at construction —
-    one ATPG run never mixes paths.
+    incremental fault dropping never recomputes shared state.  Every
+    call compiles a :class:`FaultEpisodePlan` wired to those caches.
 
     Parameters
     ----------
@@ -217,24 +181,18 @@ class FaultSimSession:
     backend:
         Fault-simulation engine (name, instance or ``None`` — resolved
         through :func:`~repro.simulation.backends.resolve_fault_backend`).
-    plan:
-        Planning toggle override; ``None`` defers to the session
-        default / ``$REPRO_FAULT_PLAN`` (default on).  Off routes every
-        call through the legacy per-batch
-        :meth:`~repro.simulation.backends.base.Backend.
-        fault_simulate_batch` path — the pinned reference.
     cone_cache:
         Optional externally shared fanout-cone cache.
     stream_budget:
         Out-of-core streaming budget override (``uint64`` elements of
         one window's state matrix); ``None`` defers to the session
         default / ``$REPRO_STREAM_BUDGET``, ``0`` forces streaming off.
-        Resolved once at construction, like the planning toggle.
+        Resolved once at construction, so one run never mixes
+        resident and streamed evaluation of the same call sequence.
     """
 
     def __init__(self, circuit: Circuit,
                  backend: "str | Backend | None" = None,
-                 plan: bool | None = None,
                  cone_cache: dict[str, list[str]] | None = None,
                  stream_budget: int | None = None):
         from repro.simulation.backends import resolve_fault_backend
@@ -243,7 +201,6 @@ class FaultSimSession:
         self.engine = resolve_fault_backend(backend)
         self.cone_cache: dict[str, list[str]] = \
             {} if cone_cache is None else cone_cache
-        self.plan_enabled = fault_planning_enabled(plan)
         self.stream_budget = resolve_stream_budget(stream_budget)
         self._state_pool: \
             "OrderedDict[tuple, dict[str, SimState]]" = OrderedDict()
@@ -278,13 +235,9 @@ class FaultSimSession:
 
         Same contract as :func:`repro.atpg.faultsim.fault_simulate`
         (detection words record all detecting patterns; ``remaining``
-        is the undetected faults in input order), bit-identical whether
-        the planned or the legacy per-batch path runs.
+        is the undetected faults in input order), bit-identical to the
+        per-batch ``fault_simulate_batch`` reference.
         """
-        if not self.plan_enabled:
-            return self.engine.fault_simulate_batch(
-                self.circuit, faults, input_words, n, drop=drop,
-                cone_cache=self.cone_cache)
         plan = self.compile(faults, input_words, n)
         # The budget was resolved once at construction; 0 pins it off so
         # a later session default cannot flip one run mid-flight.
@@ -293,5 +246,4 @@ class FaultSimSession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<FaultSimSession {self.circuit.name!r} "
-                f"engine={self.engine.name!r} "
-                f"plan={self.plan_enabled}>")
+                f"engine={self.engine.name!r}>")

@@ -9,6 +9,8 @@ from repro.atpg.generate import AtpgConfig, generate_tests
 from repro.scan.testview import ScanDesign
 from repro.simulation.bitsim import pack_input_vectors
 
+from oracle.fault_oracle import reference_generate_tests
+
 
 class TestGenerateTests:
     def test_full_coverage_on_s27(self, s27_design):
@@ -84,35 +86,33 @@ class TestGenerateTests:
             assert len(vector.scan_state) == s27_design.chain.length
 
 
-class TestFaultPlanToggle:
+class TestPlannedMatchesOracle:
     """The planned fault x pattern replay must never change the
-    generated test set — the legacy per-batch loop is the pinned
+    generated test set — the per-batch oracle pipeline is the pinned
     reference."""
 
-    def test_plan_on_equals_legacy(self, s27_design):
-        legacy = generate_tests(s27_design, AtpgConfig(seed=1),
-                                fault_plan=False)
-        planned = generate_tests(s27_design, AtpgConfig(seed=1),
-                                 fault_plan=True)
-        assert planned.vectors == legacy.vectors
-        assert planned.n_detected == legacy.n_detected
-        assert planned.n_untestable == legacy.n_untestable
-        assert planned.n_aborted == legacy.n_aborted
+    def test_planned_equals_per_batch_oracle(self, s27_design):
+        reference = reference_generate_tests(s27_design, AtpgConfig(seed=1))
+        planned = generate_tests(s27_design, AtpgConfig(seed=1))
+        assert planned.vectors == reference.vectors
+        assert planned.n_detected == reference.n_detected
+        assert planned.n_untestable == reference.n_untestable
+        assert planned.n_aborted == reference.n_aborted
 
-    def test_plan_on_equals_legacy_without_compaction(self, s27_design):
+    def test_planned_equals_oracle_without_compaction(self, s27_design):
         """With compaction off there is no detection matrix to reuse;
-        the plan path must fall back to the final drop-mode pass."""
+        the pipeline must fall back to the final drop-mode pass."""
         config = AtpgConfig(seed=2, compaction=False)
-        legacy = generate_tests(s27_design, config, fault_plan=False)
-        planned = generate_tests(s27_design, config, fault_plan=True)
-        assert planned.vectors == legacy.vectors
-        assert planned.n_detected == legacy.n_detected
+        reference = reference_generate_tests(s27_design, config)
+        planned = generate_tests(s27_design, config)
+        assert planned.vectors == reference.vectors
+        assert planned.n_detected == reference.n_detected
 
     def test_matrix_reuse_skips_final_simulation(self, s27_design,
                                                  monkeypatch):
-        """On the plan path the final coverage accounting reads the
-        compaction matrix: exactly one no-drop call, no trailing
-        drop-mode call on the compacted set."""
+        """The final coverage accounting reads the compaction matrix:
+        exactly one no-drop call, and it is the last call (no trailing
+        drop-mode pass over the compacted set)."""
         from repro.simulation.fault_episode import FaultSimSession
 
         calls = []
@@ -123,21 +123,9 @@ class TestFaultPlanToggle:
             return original(self, faults, words, n, drop=drop)
 
         monkeypatch.setattr(FaultSimSession, "simulate", spy)
-        generate_tests(s27_design, AtpgConfig(seed=1), fault_plan=True)
+        generate_tests(s27_design, AtpgConfig(seed=1))
         assert calls.count(False) == 1  # the compaction matrix
-        planned_calls = list(calls)
-        calls.clear()
-        generate_tests(s27_design, AtpgConfig(seed=1), fault_plan=False)
-        # legacy runs one extra drop-mode pass after the matrix
-        assert len(calls) == len(planned_calls) + 1
-
-    def test_coverage_on_env_toggle(self, s27_design, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "0")
-        legacy = generate_tests(s27_design, AtpgConfig(seed=3))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "1")
-        planned = generate_tests(s27_design, AtpgConfig(seed=3))
-        assert planned.vectors == legacy.vectors
-        assert planned.n_detected == legacy.n_detected
+        assert calls[-1] is False
 
 
 class TestSharedPoolRouting:

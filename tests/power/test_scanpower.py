@@ -11,6 +11,8 @@ from repro.power.scanpower import (
 )
 from repro.scan.testview import ScanDesign, TestVector
 
+from oracle.scan_oracle import serial_energy_profile, serial_scan_power
+
 
 class TestEpisodeStructure:
     def test_cycle_count_with_capture(self, s27_design, make_vectors):
@@ -152,9 +154,9 @@ class TestPerCycleProfile:
 
 
 class TestEpisodeBatchPath:
-    """The batched engine is the default; it must match the serial
-    loop exactly (the property suite covers random circuits, this
-    pins the real s27 design and the report object)."""
+    """The batched engine must match the serial oracle loop exactly
+    (the property suite covers random circuits, this pins the real s27
+    design and the report object)."""
 
     def test_report_identical_to_serial(self, s27_design, make_vectors):
         vectors = make_vectors(s27_design, 8)
@@ -162,43 +164,15 @@ class TestEpisodeBatchPath:
             name="proposed",
             pi_values={pi: 0 for pi in s27_design.circuit.inputs},
             mux_ties={s27_design.chain.q_lines[0]: 1})
-        serial = evaluate_scan_power(s27_design, vectors, policy,
-                                     episode_batch=False)
+        serial = serial_scan_power(s27_design, vectors, policy)
         for backend in ("bigint", "numpy", "sharded"):
             batched = evaluate_scan_power(s27_design, vectors, policy,
-                                          backend=backend,
-                                          episode_batch=True)
+                                          backend=backend)
             assert batched == serial, backend
 
     def test_profile_identical_to_serial(self, s27_design, make_vectors):
         import numpy as np
         vectors = make_vectors(s27_design, 4)
-        serial = per_cycle_energy_fj(s27_design, vectors,
-                                     episode_batch=False)
-        batched = per_cycle_energy_fj(s27_design, vectors,
-                                      episode_batch=True)
+        serial = serial_energy_profile(s27_design, vectors)
+        batched = per_cycle_energy_fj(s27_design, vectors)
         assert np.array_equal(serial, batched)
-
-    def test_env_toggle_controls_default(self, s27_design, make_vectors,
-                                         monkeypatch):
-        """The env var must actually switch the *path* taken — outputs
-        are bit-identical by contract, so count compiler calls."""
-        import repro.power.scanpower as scanpower
-        from repro.simulation.episode import compile_episode_plan
-
-        calls = []
-
-        def counting_compile(*args, **kwargs):
-            calls.append(1)
-            return compile_episode_plan(*args, **kwargs)
-
-        monkeypatch.setattr(scanpower, "compile_episode_plan",
-                            counting_compile)
-        vectors = make_vectors(s27_design, 3)
-        monkeypatch.setenv("REPRO_EPISODE_BATCH", "0")
-        off = evaluate_scan_power(s27_design, vectors)
-        assert calls == []  # serial loop, compiler untouched
-        monkeypatch.setenv("REPRO_EPISODE_BATCH", "1")
-        on = evaluate_scan_power(s27_design, vectors)
-        assert calls == [1]  # batched path compiled exactly one plan
-        assert on == off

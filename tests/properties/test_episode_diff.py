@@ -1,7 +1,8 @@
 """Differential properties of the batched episode engine.
 
 The batched whole-test-set replay must be observationally identical to
-the legacy per-episode path — packed waveforms bit for bit, transition
+the serial per-episode oracle (``tests/oracle/scan_oracle.py``) — packed
+waveforms bit for bit, transition
 counts exactly, leakage floats IEEE-equal — on every registered backend,
 on mapped and unmapped circuits, and under forced pattern/cycle-axis
 sharding with real worker processes.
@@ -28,6 +29,12 @@ from repro.simulation.backends import (
 from repro.simulation.episode import compile_episode_plan
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
+
+from oracle.scan_oracle import (
+    serial_energy_profile,
+    serial_episode_waveforms,
+    serial_scan_power,
+)
 
 BACKENDS = sorted(available_backends())
 
@@ -74,12 +81,11 @@ class TestBatchedEqualsSerial:
         design = _random_design(seed, mapped)
         vectors = _random_vectors(design, n_vectors, seed)
         policy = _blocking_policy(design, seed)
-        serial = episode_waveforms(design, vectors, policy,
-                                   include_capture, episode_batch=False)
+        serial = serial_episode_waveforms(design, vectors, policy,
+                                          include_capture)
         for name in BACKENDS:
             batched = episode_waveforms(design, vectors, policy,
-                                        include_capture, backend=name,
-                                        episode_batch=True)
+                                        include_capture, backend=name)
             assert batched == serial, name
 
     @settings(max_examples=8, deadline=None)
@@ -88,13 +94,11 @@ class TestBatchedEqualsSerial:
         design = _random_design(seed, mapped)
         vectors = _random_vectors(design, n_vectors, seed)
         policy = _blocking_policy(design, seed)
-        reference = evaluate_scan_power(design, vectors, policy,
-                                        backend="bigint",
-                                        episode_batch=False)
+        reference = serial_scan_power(design, vectors, policy,
+                                      backend="bigint")
         for name in BACKENDS:
             batched = evaluate_scan_power(design, vectors, policy,
-                                          backend=name,
-                                          episode_batch=True)
+                                          backend=name)
             assert batched == reference, name
 
     @settings(max_examples=4, deadline=None)
@@ -102,11 +106,9 @@ class TestBatchedEqualsSerial:
     def test_energy_profile_identical(self, seed, n_vectors):
         design = _random_design(seed, mapped=True)
         vectors = _random_vectors(design, n_vectors, seed)
-        serial = per_cycle_energy_fj(design, vectors,
-                                     episode_batch=False)
+        serial = serial_energy_profile(design, vectors)
         for name in BACKENDS:
-            batched = per_cycle_energy_fj(design, vectors, backend=name,
-                                          episode_batch=True)
+            batched = per_cycle_energy_fj(design, vectors, backend=name)
             assert np.array_equal(batched, serial), name
 
 
@@ -143,12 +145,9 @@ class TestPatternAxisSharding:
     def test_sharded_report_via_public_entry(self):
         design = _random_design(11, mapped=True)
         vectors = _random_vectors(design, 4, 11)
-        reference = evaluate_scan_power(design, vectors,
-                                        backend="bigint",
-                                        episode_batch=False)
+        reference = serial_scan_power(design, vectors, backend="bigint")
         backend = ShardedBackend(shards=2, episode_budget=4)
-        batched = evaluate_scan_power(design, vectors, backend=backend,
-                                      episode_batch=True)
+        batched = evaluate_scan_power(design, vectors, backend=backend)
         assert batched == reference
 
     def test_small_plan_runs_inline(self, s27_design, make_vectors):

@@ -6,7 +6,8 @@ exact input order — on every registered backend, in both drop modes, on
 mapped and unmapped circuits, for every tile geometry, and under forced
 multi-process sharding of **either** axis (fault-major and
 pattern-major) with real worker processes.  The generated test sets of
-the planned and legacy ATPG paths must be equal too.
+the planned ATPG pipeline must equal the per-batch oracle's
+(``tests/oracle/fault_oracle.py``) too.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,8 @@ from repro.simulation.fault_episode import (
 )
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
+
+from oracle.fault_oracle import PerBatchSession, reference_generate_tests
 
 BACKENDS = sorted(available_backends())
 
@@ -68,18 +71,19 @@ class TestPlanEqualsScalarReference:
            st.booleans())
     def test_session_matches_per_batch_path(self, seed, n_patterns,
                                             mapped, drop):
-        """One session, plan on vs off: both equal ``fault_simulate``."""
+        """The planned session and the per-batch double both equal
+        ``fault_simulate``."""
         circuit = _random_circuit(seed, mapped=mapped, n_gates=30)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
         reference = fault_simulate(circuit, faults, words, n_patterns,
                                    drop=drop, backend="bigint")
         for name in ("bigint", "numpy"):
-            for flag in (True, False):
-                session = FaultSimSession(circuit, name, plan=flag)
+            for session in (FaultSimSession(circuit, name),
+                            PerBatchSession(circuit, name)):
                 got = session.simulate(faults, words, n_patterns,
                                        drop=drop)
-                _assert_same(got, reference, (name, flag, drop))
+                _assert_same(got, reference, (name, session, drop))
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 170), st.booleans())
@@ -143,20 +147,18 @@ class TestTwoAxisSharding:
 class TestGeneratedTestSetsIdentical:
     @settings(max_examples=3, deadline=None)
     @given(st.integers(0, 10_000), st.booleans())
-    def test_plan_toggle_never_changes_the_test_set(self, seed, mapped):
+    def test_planned_equals_oracle(self, seed, mapped):
         from repro.atpg.generate import AtpgConfig, generate_tests
         from repro.scan.testview import ScanDesign
 
         circuit = _random_circuit(seed, mapped=mapped, n_gates=25)
         design = ScanDesign.full_scan(circuit)
         config = AtpgConfig(seed=seed, max_random_batches=4)
-        legacy = generate_tests(design, config, fault_backend="bigint",
-                                fault_plan=False)
+        reference = reference_generate_tests(design, config, backend="bigint")
         for name in ("bigint", "numpy"):
-            planned = generate_tests(design, config, fault_backend=name,
-                                     fault_plan=True)
-            assert planned.vectors == legacy.vectors, name
-            assert planned.n_detected == legacy.n_detected, name
-            assert planned.n_faults == legacy.n_faults, name
-            assert planned.n_untestable == legacy.n_untestable, name
-            assert planned.n_aborted == legacy.n_aborted, name
+            planned = generate_tests(design, config, fault_backend=name)
+            assert planned.vectors == reference.vectors, name
+            assert planned.n_detected == reference.n_detected, name
+            assert planned.n_faults == reference.n_faults, name
+            assert planned.n_untestable == reference.n_untestable, name
+            assert planned.n_aborted == reference.n_aborted, name

@@ -12,6 +12,8 @@ from repro.scan.multichain import (
 )
 from repro.scan.testview import ScanDesign, TestVector
 
+from oracle.scan_oracle import serial_multichain_power
+
 
 @pytest.fixture
 def toy_multi(toy_mapped):
@@ -157,11 +159,11 @@ class TestEpisodeBatchRouting:
                                             backend=forced)
         assert sharded == reference
 
-    def test_serial_escape_hatch_matches(self, toy_mapped, toy_multi):
+    def test_matches_serial_cycle_replay(self, toy_mapped, toy_multi):
+        """The episode batch equals the oracle's plain cycle replay of
+        the same parallel-shift stimulus."""
         vectors = _vectors(toy_multi.global_q_lines, toy_mapped, 3,
                            seed=4)
-        batched = evaluate_multichain_power(toy_multi, vectors,
-                                            episode_batch=True)
-        serial = evaluate_multichain_power(toy_multi, vectors,
-                                           episode_batch=False)
+        batched = evaluate_multichain_power(toy_multi, vectors)
+        serial = serial_multichain_power(toy_multi, vectors)
         assert batched == serial

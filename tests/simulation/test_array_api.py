@@ -354,6 +354,21 @@ class TestNamespaceResolution:
         with pytest.raises(SimulationError, match="not importable"):
             backend.run(mapped, words, n)
 
+    def test_numpy_entry_is_pinned(self, monkeypatch, mapped, stimulus):
+        """The ``numpy`` registry entry is this engine on numpy; it
+        ignores the namespace knobs that retarget ``array_api``."""
+        from repro.simulation.backends import get_backend
+        words, n = stimulus
+        monkeypatch.setenv(DEFAULT_NAMESPACE_ENV, "definitely.not.a.module")
+        numpy_entry = get_backend("numpy")
+        assert isinstance(numpy_entry, ArrayApiBackend)
+        assert numpy_entry.name == "numpy"
+        with using(array_namespace="repro"):
+            state = numpy_entry.run(mapped, words, n)
+        assert state.namespace is np
+        with pytest.raises(SimulationError, match="not importable"):
+            get_backend("array_api").run(mapped, words, n)
+
 
 class TestTileGeometryMemoized:
     def test_memoized_per_plan_and_budget(self, mapped, stimulus):

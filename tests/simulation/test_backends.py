@@ -157,7 +157,7 @@ class TestPopcountFallback:
     def test_fallback_matches_primary(self):
         import numpy as np
 
-        from repro.simulation.backends import numpy_backend as nb
+        from repro.simulation.backends import array_api as nb
         rng = make_rng(9)
         arr = rng.integers(0, 2**63, size=(7, 9)).astype(np.uint64)
         assert (nb._popcount_sum_fallback(arr) ==
@@ -167,7 +167,7 @@ class TestPopcountFallback:
 
     def test_backend_bit_identical_under_fallback(self, s27_mapped,
                                                   library, monkeypatch):
-        from repro.simulation.backends import numpy_backend as nb
+        from repro.simulation.backends import array_api as nb
         from repro.simulation.bitsim import random_input_words
         monkeypatch.setattr(nb, "_popcount_sum", nb._popcount_sum_fallback)
         words = random_input_words(s27_mapped, 100, make_rng(4))

@@ -18,15 +18,14 @@ from repro.simulation.backends.fault_kernel import (
 )
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.fault_episode import (
-    DEFAULT_FAULT_PLAN_ENV,
     FaultEpisodePlan,
     FaultSimSession,
     compile_fault_episode_plan,
-    fault_planning_enabled,
-    set_default_fault_planning,
 )
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
+
+from oracle.fault_oracle import PerBatchSession, greedy_keep_bigint
 
 
 @pytest.fixture
@@ -38,37 +37,6 @@ def mapped():
 def stimulus(mapped):
     n = 130  # three uint64 words, ragged tail
     return random_input_words(mapped, n, make_rng(9)), n
-
-
-class TestToggle:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(DEFAULT_FAULT_PLAN_ENV, raising=False)
-        assert fault_planning_enabled() is True
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("on", True), ("true", True),
-        ("0", False), ("off", False), ("no", False),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, value)
-        assert fault_planning_enabled() is expected
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, "maybe")
-        with pytest.raises(SimulationError, match="REPRO_FAULT_PLAN"):
-            fault_planning_enabled()
-
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, "0")
-        assert fault_planning_enabled(True) is True
-
-    def test_session_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, "1")
-        set_default_fault_planning(False)
-        try:
-            assert fault_planning_enabled() is False
-        finally:
-            set_default_fault_planning(None)
 
 
 class TestPlan:
@@ -157,11 +125,12 @@ class TestTileGeometry:
 
 class TestSession:
     def test_plan_and_legacy_paths_identical(self, mapped, stimulus):
+        """The planned session equals the per-batch oracle session."""
         words, n = stimulus
         faults = all_faults(mapped)
         for backend in ("bigint", "numpy"):
-            on = FaultSimSession(mapped, backend, plan=True)
-            off = FaultSimSession(mapped, backend, plan=False)
+            on = FaultSimSession(mapped, backend)
+            off = PerBatchSession(mapped, backend)
             for drop in (True, False):
                 a = on.simulate(faults, words, n, drop=drop)
                 b = off.simulate(faults, words, n, drop=drop)
@@ -185,13 +154,13 @@ class TestSession:
                 CountingBackend.runs += 1
                 return super().run(circuit, input_words, n)
 
-        session = FaultSimSession(mapped, CountingBackend(), plan=True)
+        session = FaultSimSession(mapped, CountingBackend())
         session.simulate(faults, words, n, drop=True)
         session.simulate(faults[: len(faults) // 2], words, n, drop=False)
         assert CountingBackend.runs == 1
 
     def test_state_pool_is_bounded(self, mapped):
-        session = FaultSimSession(mapped, "numpy", plan=True)
+        session = FaultSimSession(mapped, "numpy")
         faults = all_faults(mapped)[:4]
         rng = make_rng(1)
         for i in range(7):
@@ -200,21 +169,13 @@ class TestSession:
         assert len(session._state_pool) <= 4
 
     def test_cone_cache_shared_with_legacy_path(self, mapped, stimulus):
-        """The session's cone cache fills on the scalar path — including
-        the no-drop matrix call that used to rebuild every cone."""
+        """The session's cone cache fills on the scalar (big-int) plan
+        replay — including the no-drop matrix call that used to rebuild
+        every cone."""
         words, n = stimulus
-        session = FaultSimSession(mapped, "bigint", plan=False)
+        session = FaultSimSession(mapped, "bigint")
         session.simulate(all_faults(mapped), words, n, drop=False)
         assert session.cone_cache  # populated once, reused afterwards
-
-    def test_session_resolves_toggle_once(self, mapped):
-        set_default_fault_planning(False)
-        try:
-            session = FaultSimSession(mapped, "bigint")
-            assert session.plan_enabled is False
-        finally:
-            set_default_fault_planning(None)
-        assert FaultSimSession(mapped, "bigint").plan_enabled is True
 
 
 class TestShardedPlanAxes:
@@ -295,10 +256,7 @@ class TestGreedyKeepEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_vectorized_equals_bigint(self, seed):
         from repro.atpg.faultsim import FaultSimResult
-        from repro.atpg.generate import (
-            _greedy_keep_bigint,
-            _greedy_keep_vectorized,
-        )
+        from repro.atpg.generate import _greedy_keep_vectorized
         gen = np.random.default_rng(seed)
         n_vectors = int(gen.integers(1, 40))
         n_faults = int(gen.integers(1, 60))
@@ -313,4 +271,4 @@ class TestGreedyKeepEquivalence:
                 words[Fault(f"l{i}", 0)] = word
         matrix = FaultSimResult(detected=words, remaining=[])
         assert _greedy_keep_vectorized(matrix, n_vectors) == \
-            _greedy_keep_bigint(matrix, n_vectors)
+            greedy_keep_bigint(matrix, n_vectors)

@@ -225,61 +225,6 @@ class TestAblationCampaignFlags:
         assert capsys.readouterr().out == first
 
 
-class TestEpisodeBatchFlag:
-    def test_run_with_flag_on_and_off_match(self, capsys):
-        assert main(["--seed", "1", "--episode-batch", "on",
-                     "run", "s27"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["--seed", "1", "--episode-batch", "off",
-                     "run", "s27"]) == 0
-        serial = capsys.readouterr().out
-        assert batched == serial  # bit-identical by contract
-
-    def test_invalid_flag_value_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--episode-batch", "sometimes", "list"])
-
-    def test_bad_env_is_clean_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_EPISODE_BATCH", "maybe")
-        assert main(["list"]) == 2
-        assert "REPRO_EPISODE_BATCH" in capsys.readouterr().err
-
-    def test_flag_overrides_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_EPISODE_BATCH", "maybe")
-        assert main(["--episode-batch", "on", "list"]) == 0
-
-
-class TestFaultPlanFlag:
-    def test_run_with_flag_on_and_off_match(self, capsys):
-        assert main(["--seed", "1", "--fault-plan", "on",
-                     "run", "s27"]) == 0
-        planned = capsys.readouterr().out
-        assert main(["--seed", "1", "--fault-plan", "off",
-                     "run", "s27"]) == 0
-        legacy = capsys.readouterr().out
-        assert planned == legacy  # bit-identical by contract
-
-    def test_invalid_flag_value_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--fault-plan", "sometimes", "list"])
-
-    def test_bad_env_is_clean_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "maybe")
-        assert main(["list"]) == 2
-        assert "REPRO_FAULT_PLAN" in capsys.readouterr().err
-
-    def test_flag_overrides_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "maybe")
-        assert main(["--fault-plan", "off", "list"]) == 0
-
-    def test_flag_does_not_leak_across_main_calls(self):
-        from repro.simulation.fault_episode import fault_planning_enabled
-        assert main(["--fault-plan", "off", "list"]) == 0
-        assert fault_planning_enabled(None) is False  # session default
-        assert main(["list"]) == 0  # no flag: main resets the default
-        assert fault_planning_enabled(None) is True
-
-
 class TestCampaignGc:
     def _seed_cache(self, cache_dir, n=3):
         import time
@@ -348,14 +293,15 @@ class TestCampaignFigure2Kind:
         err = capsys.readouterr().err
         assert "--circuits" in err and "--jobs" in err
 
-    def test_flag_does_not_leak_across_main_calls(self):
+    def test_flag_does_not_leak_across_main_calls(self, monkeypatch):
         """The autouse conftest fixture must clear the session default
         main() installs, or the suite becomes order-dependent."""
-        from repro.simulation.episode import episode_batching_enabled
-        assert main(["--episode-batch", "off", "list"]) == 0
-        assert episode_batching_enabled(None) is False  # session default
+        from repro.simulation.backends import default_backend_name
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        assert main(["--backend", "numpy", "list"]) == 0
+        assert default_backend_name() == "numpy"  # session default
         assert main(["list"]) == 0  # no flag: main resets the default
-        assert episode_batching_enabled(None) is True
+        assert default_backend_name() == "bigint"
 
 
 class TestCampaignGcAge:
