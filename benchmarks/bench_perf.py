@@ -499,14 +499,16 @@ def test_perf_fault_sim_backend_speedup(benchmark, s1423_mapped):
 
 
 def test_perf_sharded_pool_vs_per_call_fork(benchmark, s1423_mapped):
-    """Warm persistent pool vs per-call fork for repeated sharded calls.
+    """Warm persistent pool vs a transient pool per sharded call.
 
     The ATPG inner loop's shape: many ``fault_simulate`` calls on the
-    same circuit.  The per-call path pays a pool fork/teardown every
-    call; the ``pool=`` hook dispatches to live workers whose interned
+    same circuit.  Without a pool, every call starts and closes a
+    transient ``WorkerPool`` whose forked workers inherit the call's
+    job; the ``pool=`` hook dispatches to live workers whose interned
     plan caches survive across calls.  Records the speedup trajectory
-    as ``pool_speedup`` (not floor-enforced: fork cost varies wildly
-    across runners) and pins bit-identity against the inline kernel.
+    as ``pool_speedup`` (not floor-enforced: process start-up cost
+    varies wildly across runners) and pins bit-identity against the
+    inline kernel.
     """
     from repro.campaign.pool import WorkerPool
     from repro.simulation.backends import ShardedBackend
@@ -599,9 +601,10 @@ def test_perf_campaign_table1_parallel(benchmark):
 def test_perf_fault_sim_sharded(benchmark, s5378_mapped):
     """Sharded fault simulation on the largest tractable Table-I circuit.
 
+    Each call runs on a transient ``WorkerPool`` over an inherited job.
     Pins that the multi-process merge stays bit-identical to the inline
     numpy kernel and records the shard speedup trajectory (not enforced:
-    worker count and fork cost vary across runners).
+    worker count and process start-up cost vary across runners).
     """
     from repro.simulation.backends import ShardedBackend
 

@@ -136,6 +136,11 @@ def _worker_main(task_queue, result_queue,
                  f"{type(exc).__name__}: {exc}\n"
                  f"{traceback.format_exc()}", name))
         result_queue.put(payload)
+    # Pools this worker started itself (e.g. the shared pool of a job
+    # running sharded ATPG) must stop here: multiprocessing children
+    # skip atexit hooks but still join non-daemon grandchildren, so
+    # their idle workers would block this worker's exit.
+    _close_live_pools()
     _trace_flush()
 
 
@@ -158,7 +163,7 @@ _LIVE_POOLS: "set[WorkerPool]" = set()
 # round, a started-but-unclosed pool deadlocks the interpreter at
 # exit (workers wait for tasks, parent waits for workers).
 @atexit.register
-def _close_live_pools() -> None:  # pragma: no cover - interpreter exit
+def _close_live_pools() -> None:  # pragma: no cover - process exit
     for pool in list(_LIVE_POOLS):
         pool.close()
 
@@ -238,6 +243,11 @@ class WorkerPool:
         in-flight map.  Everything that dispatches work checks this.
         """
         return self.started and self._owner_pid == os.getpid()
+
+    @property
+    def start_method(self) -> str:
+        """The ``multiprocessing`` start method of the workers."""
+        return self._ctx.get_start_method()
 
     def start(self) -> "WorkerPool":
         """Spawn and pre-warm the workers (idempotent)."""
@@ -475,9 +485,14 @@ def ensure_shared_pool(processes: int | None = None) -> WorkerPool:
 
     An existing shared pool is reused as-is even if ``processes``
     differs — resizing would silently drop warmed workers; call
-    :func:`shutdown_shared_pool` first to change the size.
+    :func:`shutdown_shared_pool` first to change the size.  A shared
+    pool inherited across fork is dropped (its workers belong to the
+    parent) and a fresh one is started in this process.
     """
     global _SHARED
+    if _SHARED is not None and _SHARED.started and not _SHARED.owned:
+        _SHARED.close()  # a non-owner close only drops references
+        _SHARED = None
     if _SHARED is None:
         _SHARED = WorkerPool(processes=processes)
     return _SHARED.start()
@@ -492,8 +507,8 @@ def active_shared_pool() -> WorkerPool | None:
     The ownership check matters under fork: a pool worker inherits the
     parent's started pool object, and dispatching into it from the
     child would corrupt the parent's in-flight map — inherited pools
-    are therefore invisible here (the child falls back to its own
-    per-call workers).
+    are therefore invisible here (the child falls back to a transient
+    pool of its own).
     """
     if _SHARED is not None and _SHARED.owned:
         return _SHARED

@@ -1,11 +1,11 @@
-"""Process-sharded simulation meta-backend (fault and pattern axes).
+"""Process-sharded simulation meta-backend (fault, pattern and cycle axes).
 
 ``ShardedBackend`` wraps an inner engine (``numpy`` by default).  Plain
 packed simulation delegates straight to the inner backend; fault
 simulation partitions the fault list into contiguous shards, simulates
-each shard in its own ``multiprocessing`` worker with the inner engine,
-and merges the per-shard :class:`~repro.atpg.faultsim.FaultSimResult`
-objects in shard order.  Batched *episode* simulation
+each shard in a worker process with the inner engine, and merges the
+per-shard :class:`~repro.atpg.faultsim.FaultSimResult` objects in shard
+order.  Batched *episode* simulation
 (:meth:`ShardedBackend.simulate_episode_batch`) shards the other axis:
 oversized :class:`~repro.simulation.episode.EpisodePlan`\\ s are split
 into contiguous **cycle ranges** under a fixed memory budget, each chunk
@@ -31,36 +31,42 @@ Determinism guarantees:
   concatenated waveforms never depend on the chunk count either.
 
 Short fault lists (below ``min_faults_per_shard`` per worker) run inline
-on the inner backend: forking costs more than it saves there, and the
-result is identical by construction.
+on the inner backend: starting workers costs more than it saves there,
+and the result is identical by construction.
 
-Dispatch goes to, in precedence order:
+Every sharded call dispatches through one method,
+:meth:`ShardedBackend._scatter`, onto a pool or transient pool — both
+:class:`~repro.campaign.pool.WorkerPool`\\ s, so shards get supervised
+respawn, ``pool.task`` spans and the pool's chaos sites.  The call's
+shared inputs travel as one :class:`_Job`:
 
-1. an externally owned persistent :class:`~repro.campaign.pool.
-   WorkerPool` (``pool=`` at construction, or temporarily via
-   :meth:`ShardedBackend.using_pool`) — live workers, no per-call fork;
-   workers intern circuits by content fingerprint so their per-circuit
-   plan caches keep hitting across calls;
-2. the process-wide shared pool, when someone started one
-   (:func:`repro.campaign.pool.ensure_shared_pool`);
-3. a fresh per-call ``multiprocessing`` pool (fork where it is the
-   platform default, spawn elsewhere) — the original behaviour.
+* an attached pool (``pool=`` or :meth:`ShardedBackend.using_pool`) or
+  the process-wide shared pool
+  (:func:`repro.campaign.pool.ensure_shared_pool`) receives the job cut
+  down to each task's fault slice and cycle window; workers intern the
+  circuit by content fingerprint, so their plan caches keep hitting
+  across calls;
+* otherwise a transient pool runs the call.  Where the platform forks,
+  it is started after the job is published, so its workers inherit the
+  job and the parent's warmed caches copy-on-write and each task
+  carries only its bounds; on spawn/forkserver platforms it receives
+  the cut-down jobs like a live pool.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 from collections import OrderedDict
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.cells.library import CellLibrary
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.obs.trace import span, traced_task
+from repro.obs.trace import span
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.streaming import (
     PlanByteStore,
@@ -93,29 +99,81 @@ DEFAULT_SHARDS_ENV = "REPRO_SIM_SHARDS"
 #: batch budget.  Plans that fit run inline on the inner backend.
 _EPISODE_ELEMENT_BUDGET = 1 << 22
 
-# ``shard_bounds`` (and the byte-map slicing helpers) now live in
-# :mod:`repro.simulation.streaming` — the canonical home shared by
-# shard partitioning and stream windowing; the historical aliases stay
-# importable from here.
-_plan_byte_map = plan_byte_map
-_window_word = window_word
+#: One shard task: a ``[start, stop)`` fault range and a ``[start,
+#: stop)`` pattern/cycle window of its job (episode tasks have no
+#: faults, so their fault range is empty).
+_Task = tuple[tuple[int, int], tuple[int, int]]
 
 
-def _simulate_shard(payload: tuple[str, Circuit, "Sequence[Fault]",
-                                   dict[str, int], int, bool]
-                    ) -> "FaultSimResult":
-    """Worker entry point: one shard on the inner backend (picklable)."""
-    inner_name, circuit, faults, input_words, n, drop = payload
-    from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults, input_words, n, drop=drop)
+@dataclass(frozen=True)
+class _Job:
+    """The inputs every task of one sharded call shares.
+
+    ``stimulus`` is the packed byte map of every input line over ``n``
+    patterns (or cycles), so any window slices in O(window).  ``state``
+    is the numpy engine's settled fault-free state over all ``n``
+    patterns — or, in the parent, a thunk producing it; it only ever
+    reaches workers by inheritance, never by pickling.
+    """
+
+    inner: str
+    circuit: Circuit
+    stimulus: dict[str, bytes]
+    n: int
+    faults: "Sequence[Fault]" = ()
+    drop: bool = True
+    budget: int | None = None
+    leakage: bool = False
+    keep: bool = False
+    state: Any = None
+    fingerprint: str = ""
+
+    def words(self, start: int, stop: int) -> dict[str, int]:
+        """Packed stimulus of patterns ``[start, stop)``."""
+        return {line: window_word(raw, start, stop)
+                for line, raw in self.stimulus.items()}
+
+    def shipped(self, tasks: Sequence[_Task]
+                ) -> list[tuple["_Job", _Task]]:
+        """Pool items for ``tasks``: this job cut down to each task's
+        fault slice and window, with the task rebased onto the cut — so
+        a pickled item is O(slice), not O(job)."""
+        job = replace(self, state=None,
+                      fingerprint=self.circuit.fingerprint())
+        items = []
+        for (f0, f1), (start, stop) in tasks:
+            stimulus = job.stimulus
+            if (start, stop) != (0, job.n):
+                stimulus = plan_byte_map(job.words(start, stop),
+                                         stop - start)
+            items.append((replace(job, faults=job.faults[f0:f1],
+                                  stimulus=stimulus, n=stop - start),
+                          ((0, f1 - f0), (0, stop - start))))
+        return items
 
 
-#: Worker-side circuit intern table for the persistent-pool path.
-#: Every call ships a freshly unpickled circuit copy; the per-circuit
-#: plan/schedule caches key on object identity, so without interning a
-#: persistent worker would rebuild cone plans on every call.  Keyed by
-#: content fingerprint, bounded LRU.
+#: The job a transient fork pool's workers inherit (see
+#: :func:`_inherited`).  Not thread-safe: the simulation substrate is
+#: process-parallel, not thread-parallel.
+_INHERITED: _Job | None = None
+
+
+@contextlib.contextmanager
+def _inherited(job: _Job) -> Iterator[None]:
+    """Publish ``job`` to every worker forked inside the block."""
+    global _INHERITED
+    _INHERITED = job
+    try:
+        yield
+    finally:
+        _INHERITED = None
+
+
+#: Worker-side circuit intern table for shipped jobs.  Every call ships
+#: a freshly unpickled circuit copy; the per-circuit plan/schedule
+#: caches key on object identity, so without interning a persistent
+#: worker would rebuild cone plans on every call.  Keyed by content
+#: fingerprint, bounded LRU.
 _INTERN_MAX = 8
 _INTERNED_CIRCUITS: "OrderedDict[str, Circuit]" = OrderedDict()
 
@@ -131,183 +189,76 @@ def _interned_circuit(circuit: Circuit, fingerprint: str) -> Circuit:
     return cached
 
 
-def _simulate_shard_pooled(payload: tuple[str, Circuit, str,
-                                          "Sequence[Fault]",
-                                          dict[str, int], int, bool]
-                           ) -> "FaultSimResult":
-    """Persistent-pool worker: one shard, circuit interned by content."""
-    inner_name, circuit, fingerprint, faults, input_words, n, drop = \
-        payload
-    circuit = _interned_circuit(circuit, fingerprint)
-    from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults, input_words, n, drop=drop)
+def _resolve(item: Any) -> tuple[_Job, _Task]:
+    """A worker's job and task: the inherited job when the slot is set
+    (the item is the bare task), otherwise the shipped ``(job, task)``
+    pair with its circuit interned."""
+    if _INHERITED is not None:
+        return _INHERITED, item
+    job, task = item
+    circuit = _interned_circuit(job.circuit, job.fingerprint)
+    return replace(job, circuit=circuit), task
 
 
-def _episode_chunk_result(inner_name: str, circuit: Circuit,
-                          words: dict[str, int], n: int, leakage: bool,
-                          keep: bool,
-                          stream_budget: int | None = None
-                          ) -> tuple[dict[str, int],
-                                     dict[str, tuple[int, int]],
-                                     "dict[str, np.ndarray] | None",
-                                     dict[str, int] | None]:
-    """Simulate one cycle-range chunk and distil the merge ingredients.
+def _fault_task(item: Any) -> "FaultSimResult":
+    """Worker: one fault range x pattern window of the job.
 
-    Returns ``(transitions, edge bits, pattern counts, words)`` — the
-    integer-exact ingredients the parent merges: per-line transition
-    counts within the chunk, each line's (first, last) cycle bit for
-    the boundary transitions between neighbouring chunks, per-gate
-    leakage pattern counts (``None`` unless leakage was requested) and
-    the chunk's packed words (``None`` unless waveforms were kept).
-
-    With a ``stream_budget`` the chunk exceeds, the worker streams its
-    own sub-windows (sharding composes with streaming) and folds them
-    before returning — the parent receives the exact ingredients an
-    unstreamed chunk would have produced.
+    Replays the inherited settled good state when the job carries one,
+    streams the slice's pattern windows under the job's budget when it
+    has one (no worker then materializes the full good machine), and
+    otherwise runs one batched fault simulation of the window.
     """
+    job, ((f0, f1), (start, stop)) = _resolve(item)
+    faults = job.faults[f0:f1]
+    if job.state is not None:
+        from repro.simulation.backends import fault_kernel
+        return fault_kernel.fault_simulate_matrix(job.state, faults,
+                                                  drop=job.drop)
     from repro.simulation.backends import get_backend
-    backend = get_backend(inner_name)
-    if stream_budget is not None:
-        elements = state_elements(len(words), circuit, n)
-        if elements > stream_budget:
-            store = PlanByteStore(words, n)
-            needed = -(elements // -stream_budget)
-            bounds = shard_bounds(n, min(needed, n))
-            return stream_episode_ingredients(backend, circuit, store, n,
-                                              leakage, keep, bounds)
-    return episode_window_ingredients(backend, circuit, words, n,
-                                      leakage, keep)
+    backend = get_backend(job.inner)
+    if job.budget is not None:
+        store = PlanByteStore.from_bytes(job.stimulus, job.n)
+        return stream_fault_words(backend, job.circuit, faults, store,
+                                  job.n, job.budget)
+    return backend.fault_simulate_batch(job.circuit, faults,
+                                        job.words(start, stop),
+                                        stop - start, drop=job.drop)
 
 
-def _simulate_episode_chunk(payload: tuple[str, Circuit, str,
-                                           dict[str, int], int, bool,
-                                           bool, int | None]
-                            ) -> tuple[dict[str, int],
-                                       dict[str, tuple[int, int]],
-                                       "dict[str, np.ndarray] | None",
-                                       dict[str, int] | None]:
-    """Pool/spawn worker: one episode chunk, circuit interned by
-    content."""
-    (inner_name, circuit, fingerprint, words, n, leakage, keep,
-     stream_budget) = payload
-    circuit = _interned_circuit(circuit, fingerprint)
-    return _episode_chunk_result(inner_name, circuit, words, n, leakage,
-                                 keep, stream_budget)
+def _episode_task(item: Any) -> tuple[dict[str, int],
+                                      dict[str, tuple[int, int]],
+                                      "dict[str, np.ndarray] | None",
+                                      dict[str, int] | None]:
+    """Worker: one cycle window of the job, distilled to the
+    integer-exact merge ingredients of
+    :func:`~repro.simulation.streaming.episode_window_ingredients`
+    (transitions, edge bits, pattern counts, kept words).
 
-
-def _simulate_episode_chunk_fork(bounds: tuple[int, int]
-                                 ) -> tuple[dict[str, int],
-                                            dict[str, tuple[int, int]],
-                                            "dict[str, np.ndarray] | None",
-                                            dict[str, int] | None]:
-    """Fork-context worker: slice the inherited plan by ``bounds``.
-
-    The circuit, its warmed schedule cache and the stimulus byte map
-    arrive by copy-on-write inheritance (like the fault-shard fork
-    path), so nothing is pickled per chunk and each worker only pays
-    O(window) for slicing its own cycle window.
+    With a budget the window exceeds, the worker streams its own
+    sub-windows (sharding composes with streaming) and folds them, so
+    the parent receives exactly the unstreamed ingredients.
     """
-    assert _FORK_JOB is not None
-    inner_name, circuit, byte_map, leakage, keep, stream_budget = \
-        _FORK_JOB
-    start, stop = bounds
-    words = {line: _window_word(raw, start, stop)
-             for line, raw in byte_map.items()}
-    return _episode_chunk_result(inner_name, circuit, words,
-                                 stop - start, leakage, keep,
-                                 stream_budget)
-
-
-#: Fork-path job shared with workers by inheritance instead of pickling.
-#: Children see the parent's warmed schedule / fault-plan caches (and,
-#: for the numpy inner engine, the settled fault-free state) copy-on-
-#: write, so a shard only pays for its own slice of the work.  Set
-#: strictly around the ``Pool`` construction; not thread-safe (the
-#: simulation substrate is process-parallel, not thread-parallel).
-_FORK_JOB: tuple | None = None
-
-
-def _simulate_shard_fork(bounds: tuple[int, int]) -> "FaultSimResult":
-    """Fork-context worker: slice the inherited job by ``bounds``."""
-    assert _FORK_JOB is not None
-    inner_name, circuit, faults, input_words, n, drop = _FORK_JOB
-    start, stop = bounds
+    job, (_faults, (start, stop)) = _resolve(item)
     from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults[start:stop], input_words, n, drop=drop)
-
-
-def _simulate_shard_fork_state(bounds: tuple[int, int]) -> "FaultSimResult":
-    """Fork-context worker over an inherited, already-settled state.
-
-    The parent ran the fault-free simulation once; every worker replays
-    only its fault slice on the shared (copy-on-write) matrix instead of
-    re-simulating the whole circuit per shard.
-    """
-    assert _FORK_JOB is not None
-    state, faults, drop = _FORK_JOB
-    start, stop = bounds
-    from repro.simulation.backends.fault_kernel import fault_simulate_matrix
-    return fault_simulate_matrix(state, faults[start:stop], drop=drop)
-
-
-def _simulate_fault_window_fork(bounds: tuple[int, int]
-                                ) -> "FaultSimResult":
-    """Fork-context worker: the whole fault list on one pattern window.
-
-    The circuit, the fault list and the stimulus byte map arrive by
-    copy-on-write inheritance (the ``_FORK_JOB`` machinery); each
-    worker slices its own word-aligned cycle window in O(window) and
-    good-simulates only that window, so the fault-free work is split
-    across workers instead of duplicated.
-    """
-    assert _FORK_JOB is not None
-    inner_name, circuit, faults, byte_map, drop = _FORK_JOB
-    start, stop = bounds
-    words = {line: _window_word(raw, start, stop)
-             for line, raw in byte_map.items()}
-    from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults, words, stop - start, drop=drop)
-
-
-def _simulate_shard_fork_stream(bounds: tuple[int, int]
-                                ) -> "FaultSimResult":
-    """Fork-context worker: stream one fault slice's pattern windows.
-
-    The streamed composition of the fault axis: each worker owns a
-    contiguous fault slice (like :func:`_simulate_shard_fork`) but
-    replays it over pattern windows under the inherited stream budget,
-    so no worker ever materializes the full good machine or detection
-    matrix.
-    """
-    assert _FORK_JOB is not None
-    inner_name, circuit, faults, byte_map, n, budget = _FORK_JOB
-    start, stop = bounds
-    from repro.simulation.backends import get_backend
-    store = PlanByteStore.from_bytes(byte_map, n)
-    return stream_fault_words(get_backend(inner_name), circuit,
-                              faults[start:stop], store, n, budget)
-
-
-def _simulate_shard_pooled_stream(payload: tuple[str, Circuit, str,
-                                                 "Sequence[Fault]",
-                                                 dict[str, bytes], int,
-                                                 int]
-                                  ) -> "FaultSimResult":
-    """Pool/spawn worker: stream one fault slice's pattern windows."""
-    inner_name, circuit, fingerprint, faults, byte_map, n, budget = \
-        payload
-    circuit = _interned_circuit(circuit, fingerprint)
-    from repro.simulation.backends import get_backend
-    store = PlanByteStore.from_bytes(byte_map, n)
-    return stream_fault_words(get_backend(inner_name), circuit, faults,
-                              store, n, budget)
+    backend = get_backend(job.inner)
+    n = stop - start
+    if job.budget is not None:
+        elements = state_elements(len(job.stimulus), job.circuit, n)
+        needed = -(elements // -job.budget)
+        if needed > 1:
+            store = PlanByteStore.from_bytes(job.stimulus, job.n)
+            bounds = [(start + lo, start + hi)
+                      for lo, hi in shard_bounds(n, min(needed, n))]
+            return stream_episode_ingredients(backend, job.circuit, store,
+                                              n, job.leakage, job.keep,
+                                              bounds)
+    return episode_window_ingredients(backend, job.circuit,
+                                      job.words(start, stop), n,
+                                      job.leakage, job.keep)
 
 
 class ShardedBackend(Backend):
-    """Fault-list sharding over ``multiprocessing`` workers.
+    """Fault-list and cycle-axis sharding over worker processes.
 
     Parameters
     ----------
@@ -322,8 +273,8 @@ class ShardedBackend(Backend):
     pool:
         Externally owned persistent :class:`~repro.campaign.pool.
         WorkerPool`; shard dispatch then reuses its live workers
-        instead of forking a fresh pool per call.  The caller owns the
-        pool's lifetime.  When unset, a started process-wide shared
+        instead of starting a transient pool per call.  The caller owns
+        the pool's lifetime.  When unset, a started process-wide shared
         pool (:func:`repro.campaign.pool.ensure_shared_pool`) is picked
         up opportunistically.
     episode_budget:
@@ -375,6 +326,51 @@ class ShardedBackend(Backend):
         from repro.campaign.pool import active_shared_pool
         return active_shared_pool()
 
+    def _scatter(self, worker: Callable[[Any], Any], job: _Job,
+                 tasks: Sequence[_Task]) -> list[Any]:
+        """Run ``worker`` over ``tasks`` of ``job``; results in task
+        order.
+
+        A resolved pool gets every task as a cut-down ``(job, task)``
+        pair.  Without one, a transient pool of ``min(tasks, configured
+        shards)`` workers runs the call and is closed before returning
+        (also when a task fails): where it forks, it starts after the
+        job is published, so its workers inherit the job — plus the
+        parent's warmed caches and settled good state — and tasks are
+        bare bounds.  Extra tasks queue on the pool's workers.
+        """
+        from repro.campaign.pool import WorkerPool
+        pool = self._resolve_pool()
+        if pool is not None:
+            return pool.map(worker, job.shipped(tasks))
+        transient = WorkerPool(
+            processes=min(len(tasks), self.configured_shards()))
+        if transient.start_method != "fork":
+            with transient:
+                return transient.map(worker, job.shipped(tasks))
+        with _inherited(self._settled(job)), transient:
+            return transient.map(worker, tasks)
+
+    def _settled(self, job: _Job) -> _Job:
+        """``job`` ready to publish to forked workers.
+
+        Pays the expensive shared work — the levelized schedule, the
+        fanout cones of every faulted line and the fault-free state —
+        once in the parent instead of once per worker per call; only
+        the numpy inner engine keeps caches worth warming.
+        """
+        if self.inner_name == "numpy":
+            from repro.simulation.backends import fault_kernel
+            from repro.simulation.schedule import cached_schedule
+            cached_schedule(job.circuit)
+            if job.faults:
+                plan = fault_kernel.cached_fault_plan(job.circuit)
+                for line in {fault.line for fault in job.faults}:
+                    plan.cone_rows(line)
+        if callable(job.state):
+            job = replace(job, state=job.state())
+        return job
+
     # ------------------------------------------------------------------ #
     # plain packed simulation: pure delegation
     # ------------------------------------------------------------------ #
@@ -403,9 +399,7 @@ class ShardedBackend(Backend):
         enough chunks to respect the budget, rounded up to the
         configured worker count so an oversized plan also parallelizes.
         """
-        n_lines = len(plan.waveforms) + len(plan.circuit.topo_order()) + 1
-        n_words = (plan.n_cycles + 63) // 64
-        needed = -(n_lines * n_words // -self.episode_budget)
+        needed = -(plan.state_elements() // -self.episode_budget)
         if needed <= 1:
             return 1
         return min(plan.n_cycles, max(needed, self.configured_shards()))
@@ -429,9 +423,9 @@ class ShardedBackend(Backend):
 
         Sharding composes with streaming: under a resolved
         ``stream_budget`` every chunk worker streams its own
-        sub-windows (see :func:`_episode_chunk_result`), and the
-        inline single-chunk path delegates the budget to the inner
-        engine — peak memory per process is one window either way.
+        sub-windows (see :func:`_episode_task`), and the inline
+        single-chunk path delegates the budget to the inner engine —
+        peak memory per process is one window either way.
         """
         from repro.cells.library import default_library
         library = library or default_library()
@@ -445,52 +439,14 @@ class ShardedBackend(Backend):
 
         bounds = shard_bounds(plan.n_cycles, n_chunks)
         processes = min(len(bounds), self.configured_shards())
-        pool = self._resolve_pool()
+        job = _Job(self.inner_name, plan.circuit,
+                   plan_byte_map(plan.waveforms, plan.n_cycles),
+                   plan.n_cycles, budget=budget, leakage=collect_leakage,
+                   keep=keep_waveforms)
         with span("shard.scatter", axis="cycle", chunks=len(bounds),
                   processes=processes):
-            if pool is not None or \
-                    multiprocessing.get_start_method(allow_none=False) \
-                    != "fork":
-                # Pool/spawn paths ship pre-sliced chunk stimuli; one
-                # O(plan) byte conversion, then each window is O(window).
-                # Workers intern the circuit by content fingerprint.
-                fingerprint = plan.circuit.fingerprint()
-                byte_map = _plan_byte_map(plan.waveforms, plan.n_cycles)
-                payloads: list[Any] = [
-                    (self.inner_name, plan.circuit, fingerprint,
-                     {line: _window_word(raw, start, stop)
-                      for line, raw in byte_map.items()},
-                     stop - start, collect_leakage, keep_waveforms, budget)
-                    for start, stop in bounds
-                ]
-                if pool is not None:
-                    parts = pool.map(_simulate_episode_chunk, payloads)
-                else:  # pragma: no cover - non-fork platforms
-                    ctx = multiprocessing.get_context("spawn")
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_episode_chunk),
-                            payloads)
-            else:
-                # Fork path: the circuit, its warmed schedule cache and
-                # the stimulus byte map inherit copy-on-write; workers
-                # slice their own cycle windows (nothing pickled per
-                # chunk).
-                if self.inner_name == "numpy":
-                    from repro.simulation.schedule import cached_schedule
-                    cached_schedule(plan.circuit)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                _FORK_JOB = (self.inner_name, plan.circuit,
-                             _plan_byte_map(plan.waveforms, plan.n_cycles),
-                             collect_leakage, keep_waveforms, budget)
-                try:
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_episode_chunk_fork),
-                            bounds)
-                finally:
-                    _FORK_JOB = None
+            parts = self._scatter(_episode_task, job,
+                                  [((0, 0), window) for window in bounds])
         with span("shard.merge", axis="cycle", chunks=len(bounds)):
             return self._merge_episode(plan, bounds, parts, library,
                                        collect_leakage, keep_waveforms)
@@ -636,7 +592,7 @@ class ShardedBackend(Backend):
             n_shards = min(plan.n_words, max(n_shards, needed))
         if n_shards <= 1 or plan.n_faults < self.min_faults_per_shard:
             # Tiny matrices (or single-word pattern sets) run inline:
-            # forking costs more than the window work saves.
+            # starting workers costs more than the window work saves.
             return inner.fault_simulate_plan(plan, drop=drop,
                                              stream_budget=budget or 0)
         return self._shard_pattern_axis(plan, drop, n_shards)
@@ -644,132 +600,32 @@ class ShardedBackend(Backend):
     def _shard_fault_axis(self, circuit: Circuit, faults: "list[Fault]",
                           words: dict[str, int], n: int, drop: bool,
                           n_shards: int,
-                          good_state: "Any | None" = None,
+                          good_state: "Callable[[], Any] | None" = None,
                           stream_budget: int | None = None
                           ) -> FaultSimResult:
         """Contiguous fault-list shards over workers (stable merge).
 
-        ``good_state`` (a thunk) supplies the settled numpy state for
-        the fork path; plan-based calls pass the plan's memoized state
-        so repeated dispatches on the same stimulus never re-simulate
-        the good machine.  A set ``stream_budget`` routes every worker
-        through the streamed pattern-window replay of its fault slice
-        instead (the memoized state is deliberately bypassed — it *is*
-        the resident matrix streaming avoids).
-        """
-        if stream_budget is not None:
-            return self._shard_fault_axis_stream(circuit, faults, words,
-                                                 n, n_shards,
-                                                 stream_budget)
-        bounds = shard_bounds(len(faults), n_shards)
-        pool = self._resolve_pool()
-        with span("shard.scatter", axis="fault", shards=len(bounds)):
-            if pool is not None:
-                # Persistent-pool path: no per-call fork.  Ship each
-                # shard as a payload; workers intern the circuit by
-                # content fingerprint so their plan caches survive
-                # across calls.
-                fingerprint = circuit.fingerprint()
-                parts = pool.map(_simulate_shard_pooled, [
-                    (self.inner_name, circuit, fingerprint,
-                     faults[start:stop], words, n, drop)
-                    for start, stop in bounds
-                ])
-            # Fork only where it is the platform default (Linux): merely
-            # *available* fork (e.g. macOS, where spawn is the default
-            # because fork-without-exec is unsafe under Accelerate/ObjC)
-            # is not enough.
-            elif multiprocessing.get_start_method(allow_none=False) == \
-                    "fork":
-                # Fork path: children inherit the parent's warmed caches
-                # copy-on-write, so pay the expensive shared work
-                # (fanout cones, levelized schedule, the fault-free
-                # simulation for the numpy engine) once here instead of
-                # once per worker per call.
-                self._warm_parent_caches(circuit, faults)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                if self.inner_name == "numpy":
-                    state = good_state() if good_state is not None \
-                        else self._inner().run(circuit, words, n)
-                    _FORK_JOB = (state, faults, drop)
-                    worker = _simulate_shard_fork_state
-                else:
-                    _FORK_JOB = (self.inner_name, circuit, faults, words,
-                                 n, drop)
-                    worker = _simulate_shard_fork
-                try:
-                    with ctx.Pool(processes=len(bounds)) as pool:
-                        parts = pool.map(traced_task(worker), bounds)
-                finally:
-                    _FORK_JOB = None
-            else:  # pragma: no cover - non-fork platforms
-                payloads: list[Any] = [
-                    (self.inner_name, circuit, faults[start:stop], words,
-                     n, drop)
-                    for start, stop in bounds
-                ]
-                ctx = multiprocessing.get_context("spawn")
-                with ctx.Pool(processes=len(payloads)) as mp_pool:
-                    parts = mp_pool.map(traced_task(_simulate_shard),
-                                        payloads)
-        with span("shard.merge", axis="fault", shards=len(bounds)):
-            return self._merge(parts)
-
-    def _shard_fault_axis_stream(self, circuit: Circuit,
-                                 faults: "list[Fault]",
-                                 words: dict[str, int], n: int,
-                                 n_shards: int,
-                                 budget: int) -> FaultSimResult:
-        """Fault-axis shards whose workers stream pattern windows.
-
-        Same contiguous fault partition and stable merge as
-        :meth:`_shard_fault_axis`, but each worker replays its slice
-        window-by-window under the stream budget (drop-free windows,
-        OR-folded — bit-identical in both drop modes), so no process
-        ever holds the full good machine or its slice's detection
-        matrix.
+        ``good_state`` (a thunk) supplies the settled numpy state that
+        forked workers inherit; plan-based calls pass the plan's
+        memoized state so repeated dispatches on the same stimulus
+        never re-simulate the good machine.  A set ``stream_budget``
+        makes every worker replay its slice window-by-window under the
+        budget instead (drop-free windows, OR-folded — bit-identical in
+        both drop modes); the memoized state is then deliberately
+        bypassed — it *is* the resident matrix streaming avoids.
         """
         bounds = shard_bounds(len(faults), n_shards)
-        byte_map = _plan_byte_map(words, n)
-        pool = self._resolve_pool()
-        with span("shard.scatter", axis="fault-stream",
-                  shards=len(bounds)):
-            if pool is not None or \
-                    multiprocessing.get_start_method(allow_none=False) \
-                    != "fork":
-                fingerprint = circuit.fingerprint()
-                payloads: list[Any] = [
-                    (self.inner_name, circuit, fingerprint,
-                     faults[start:stop], byte_map, n, budget)
-                    for start, stop in bounds
-                ]
-                if pool is not None:
-                    parts = pool.map(_simulate_shard_pooled_stream,
-                                     payloads)
-                else:  # pragma: no cover - non-fork platforms
-                    ctx = multiprocessing.get_context("spawn")
-                    with ctx.Pool(processes=len(payloads)) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_shard_pooled_stream),
-                            payloads)
-            else:
-                # Fork path: circuit, fault list and stimulus byte map
-                # inherit copy-on-write; each worker streams its own
-                # slice.
-                self._warm_parent_caches(circuit, faults)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                _FORK_JOB = (self.inner_name, circuit, faults, byte_map,
-                             n, budget)
-                try:
-                    with ctx.Pool(processes=len(bounds)) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_shard_fork_stream),
-                            bounds)
-                finally:
-                    _FORK_JOB = None
-        with span("shard.merge", axis="fault-stream", shards=len(bounds)):
+        axis = "fault" if stream_budget is None else "fault-stream"
+        state = None
+        if stream_budget is None and self.inner_name == "numpy":
+            state = good_state or (
+                lambda: self._inner().run(circuit, words, n))
+        job = _Job(self.inner_name, circuit, plan_byte_map(words, n), n,
+                   faults, drop=drop, budget=stream_budget, state=state)
+        with span("shard.scatter", axis=axis, shards=len(bounds)):
+            parts = self._scatter(_fault_task, job,
+                                  [(shard, (0, n)) for shard in bounds])
+        with span("shard.merge", axis=axis, shards=len(bounds)):
             return self._merge(parts)
 
     def _shard_pattern_axis(self, plan: "FaultEpisodePlan", drop: bool,
@@ -781,60 +637,22 @@ class ShardedBackend(Backend):
         detection words are exact column slices of the full matrix:
         the merge shifts them back to their window offset and ORs —
         bit-identical to the unsharded plan for every window count.
+        Streaming can raise the window count past the worker count;
+        extra windows queue on the pool rather than adding workers.
         """
-        circuit = plan.circuit
         faults = list(plan.faults)
         word_bounds = shard_bounds(plan.n_words, n_shards)
         bounds = [(w0 * 64, min(plan.n, w1 * 64))
                   for w0, w1 in word_bounds]
-        # Streaming can raise the window count past the worker count;
-        # extra windows queue on the pool rather than spawning workers.
         processes = min(len(bounds), self.configured_shards())
-        byte_map = _plan_byte_map(plan.input_words, plan.n)
-        pool = self._resolve_pool()
+        job = _Job(self.inner_name, plan.circuit,
+                   plan_byte_map(plan.input_words, plan.n), plan.n,
+                   faults, drop=drop)
         with span("shard.scatter", axis="pattern", windows=len(bounds),
                   processes=processes):
-            if pool is not None or \
-                    multiprocessing.get_start_method(allow_none=False) \
-                    != "fork":
-                # Pool/spawn paths ship pre-sliced window stimuli (one
-                # O(plan) byte conversion, each window O(window)); the
-                # payload shape matches the fault-axis shard workers, so
-                # the same interning entry points serve both axes.
-                fingerprint = circuit.fingerprint()
-                payloads: list[Any] = [
-                    (self.inner_name, circuit, fingerprint, faults,
-                     {line: _window_word(raw, start, stop)
-                      for line, raw in byte_map.items()},
-                     stop - start, drop)
-                    for start, stop in bounds
-                ]
-                if pool is not None:
-                    parts = pool.map(_simulate_shard_pooled, payloads)
-                else:  # pragma: no cover - non-fork platforms
-                    spawn_payloads = [payload[:2] + payload[3:]
-                                      for payload in payloads]
-                    ctx = multiprocessing.get_context("spawn")
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_shard),
-                            spawn_payloads)
-            else:
-                # Fork path: circuit, fault list and stimulus byte map
-                # inherit copy-on-write; workers slice their own
-                # windows.
-                self._warm_parent_caches(circuit, faults)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                _FORK_JOB = (self.inner_name, circuit, faults, byte_map,
-                             drop)
-                try:
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_fault_window_fork),
-                            bounds)
-                finally:
-                    _FORK_JOB = None
+            parts = self._scatter(_fault_task, job,
+                                  [((0, len(faults)), window)
+                                   for window in bounds])
         with span("shard.merge", axis="pattern", windows=len(bounds)):
             return self._merge_pattern_axis(faults, bounds, parts)
 
@@ -876,22 +694,6 @@ class ShardedBackend(Backend):
             detected.update(part.detected)
             remaining.extend(part.remaining)
         return FaultSimResult(detected=detected, remaining=remaining)
-
-    def _warm_parent_caches(self, circuit: Circuit,
-                            faults: Sequence[Fault]) -> None:
-        """Populate per-circuit caches the forked workers will inherit.
-
-        Only the numpy inner engine keeps a plan cache worth warming;
-        cone extraction dominates its cold-start cost and is identical
-        for every worker, so paying it once in the parent (memoized
-        across calls) turns each fork into pure kernel work.
-        """
-        if self.inner_name != "numpy":
-            return
-        from repro.simulation.backends.fault_kernel import cached_fault_plan
-        plan = cached_fault_plan(circuit)
-        for line in {fault.line for fault in faults}:
-            plan.cone_rows(line)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<ShardedBackend inner={self.inner_name!r} "

@@ -1,5 +1,7 @@
 """Tests for the full ATPG pipeline (ATOM substitute)."""
 
+import os
+
 import pytest
 
 from repro.atpg.collapse import collapse_faults
@@ -10,6 +12,17 @@ from repro.scan.testview import ScanDesign
 from repro.simulation.bitsim import pack_input_vectors
 
 from oracle.fault_oracle import reference_generate_tests
+
+
+def _sharded_atpg(design):
+    """Sharded ATPG's vectors and the worker PIDs of the shared pool it
+    left running."""
+    from repro.campaign.pool import active_shared_pool
+    from repro.simulation.backends import ShardedBackend
+    backend = ShardedBackend(shards=2, min_faults_per_shard=1)
+    vectors = generate_tests(design, AtpgConfig(seed=1),
+                             fault_backend=backend).vectors
+    return vectors, [worker.pid for worker in active_shared_pool()._workers]
 
 
 class TestGenerateTests:
@@ -190,3 +203,24 @@ class TestSharedPoolRouting:
             assert backend.pool is pool
         reference = generate_tests(s27_design, AtpgConfig(seed=1))
         assert result.vectors == reference.vectors
+
+    def test_sharded_atpg_in_a_pool_job_after_the_parent_ran_it(
+            self, s27_design):
+        """A forked worker inherits the parent's started shared pool;
+        its own sharded ATPG must start a fresh one, not raise — and the
+        worker must stop that pool when it exits."""
+        from repro.campaign.pool import WorkerPool, shutdown_shared_pool
+
+        shutdown_shared_pool()
+        try:
+            parent, _ = _sharded_atpg(s27_design)
+            with WorkerPool(processes=1) as pool:
+                [(child, grandchildren)] = pool.map(_sharded_atpg,
+                                                    [s27_design])
+        finally:
+            shutdown_shared_pool()
+        assert child == parent
+        assert grandchildren
+        for pid in grandchildren:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

@@ -74,6 +74,37 @@ class TestPoolPropagation:
         assert run_span["dur_s"] == result.wall_s
 
 
+class TestShardPropagation:
+    def test_transient_pool_shards_join_the_trace(self, tmp_path):
+        from repro.atpg.faults import all_faults
+        from repro.atpg.faultsim import fault_simulate
+        from repro.netlist import builders
+        from repro.simulation.backends import ShardedBackend
+        from repro.simulation.bitsim import random_input_words
+        from repro.utils.rng import make_rng
+
+        circuit = builders.s27()
+        words = random_input_words(circuit, 64, make_rng(1))
+        enable(tmp_path / "trace")
+        fault_simulate(circuit, all_faults(circuit), words, 64,
+                       backend=ShardedBackend(shards=2,
+                                              min_faults_per_shard=4))
+        flush()
+
+        summary = summarize_trace(tmp_path / "trace")
+        assert summary.orphans == []
+        assert len(summary.traces) == 1
+        records = by_name(read_spans(tmp_path / "trace"))
+        [scatter] = records["shard.scatter"]
+        [pool_map] = records["pool.map"]
+        assert pool_map["parent"] == scatter["span"]
+        tasks = records["pool.task"]
+        assert len(tasks) == 2
+        for task in tasks:
+            assert task["parent"] == pool_map["span"]
+            assert task["pid"] != scatter["pid"]
+
+
 class TestWorkerPropagation:
     def test_worker_subprocess_joins_enqueue_trace(self, tmp_path):
         trace_dir = tmp_path / "trace"

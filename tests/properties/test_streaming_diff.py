@@ -41,7 +41,9 @@ from repro.simulation.streaming import (
     PlanByteStore,
     episode_stream_windows,
     fault_stream_windows,
+    plan_byte_map,
     resolve_stream_budget,
+    shard_bounds,
     state_elements,
     window_word,
 )
@@ -156,6 +158,24 @@ class TestPlanByteStore:
             {"a": (0b1011).to_bytes(1, "little"),
              "b": (0).to_bytes(1, "little")}, 4)
         assert clone.window(0, 4) == store.window(0, 4) == waveforms
+
+
+class TestEpisodeWindowSlicing:
+    def test_window_word_matches_shift(self):
+        """Byte-view windows must equal the straightforward
+        shift-and-mask slices for arbitrary (unaligned) bounds."""
+        import numpy as np
+
+        from repro.simulation.values import mask
+
+        rng = np.random.default_rng(3)
+        n = 203  # deliberately not a multiple of 8 or 64
+        word = int.from_bytes(rng.bytes((n + 7) // 8), "little") & mask(n)
+        raw = plan_byte_map({"x": word}, n)["x"]
+        for n_chunks in (1, 2, 3, 7, 40):
+            for start, stop in shard_bounds(n, n_chunks):
+                expected = (word >> start) & mask(stop - start)
+                assert window_word(raw, start, stop) == expected
 
 
 class TestWindowPlans:

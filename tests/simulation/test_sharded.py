@@ -24,6 +24,23 @@ from repro.simulation.bitsim import random_input_words, simulate_packed
 from repro.utils.rng import make_rng
 
 
+def _failing_task(item):
+    raise RuntimeError("shard task failed")
+
+
+def _fault_job(circuit):
+    faults = all_faults(circuit)
+    words = random_input_words(circuit, 64, make_rng(1))
+    return faults, words
+
+
+@pytest.fixture
+def pool():
+    from repro.campaign.pool import WorkerPool
+    with WorkerPool(processes=2) as p:
+        yield p
+
+
 class TestShardBounds:
     def test_even_split(self):
         assert shard_bounds(9, 3) == [(0, 3), (3, 6), (6, 9)]
@@ -98,14 +115,14 @@ class TestDelegation:
         assert via_sharded == via_numpy
 
     def test_small_fault_list_runs_inline(self, s27_mapped, monkeypatch):
-        # A threshold above the universe size must never fork: poison the
-        # worker entry point and verify it is not reached.
-        import repro.simulation.backends.sharded as sharded_mod
+        # A threshold above the universe size must never start workers:
+        # poison pool construction and verify it is not reached.
+        import repro.campaign.pool as pool_mod
 
-        def boom(payload):  # pragma: no cover - must not run
-            raise AssertionError("worker should not be spawned")
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("worker pool should not be started")
 
-        monkeypatch.setattr(sharded_mod, "_simulate_shard", boom)
+        monkeypatch.setattr(pool_mod, "WorkerPool", boom)
         backend = ShardedBackend(shards=4, min_faults_per_shard=10_000)
         faults = all_faults(s27_mapped)
         words = random_input_words(s27_mapped, 64, make_rng(1))
@@ -139,19 +156,8 @@ class TestFaultBackendResolution:
 class TestPooledDispatch:
     """Persistent-pool shard dispatch (``pool=`` hook)."""
 
-    @pytest.fixture
-    def pool(self):
-        from repro.campaign.pool import WorkerPool
-        with WorkerPool(processes=2) as p:
-            yield p
-
-    def _fault_job(self, circuit):
-        faults = all_faults(circuit)
-        words = random_input_words(circuit, 64, make_rng(1))
-        return faults, words
-
     def test_pooled_results_bit_identical(self, s27_mapped, pool):
-        faults, words = self._fault_job(s27_mapped)
+        faults, words = _fault_job(s27_mapped)
         ref = fault_simulate(s27_mapped, faults, words, 64,
                              backend="bigint")
         backend = ShardedBackend(shards=2, min_faults_per_shard=4,
@@ -162,7 +168,7 @@ class TestPooledDispatch:
         assert got.remaining == ref.remaining
 
     def test_pool_reused_across_calls(self, s27_mapped, pool):
-        faults, words = self._fault_job(s27_mapped)
+        faults, words = _fault_job(s27_mapped)
         backend = ShardedBackend(shards=2, min_faults_per_shard=4,
                                  pool=pool)
         first = fault_simulate(s27_mapped, faults, words, 64,
@@ -171,26 +177,6 @@ class TestPooledDispatch:
                                 backend=backend)
         assert first.detected == second.detected
         assert pool.started  # dispatch must not tear the pool down
-
-    def test_pooled_dispatch_does_not_fork_per_call(self, s27_mapped,
-                                                    pool, monkeypatch):
-        # with a pool attached, the per-call fork/spawn entry points
-        # must never run
-        import repro.simulation.backends.sharded as sharded_mod
-
-        def boom(*args):  # pragma: no cover - must not run
-            raise AssertionError("per-call pool was constructed")
-
-        monkeypatch.setattr(sharded_mod, "_simulate_shard_fork", boom)
-        monkeypatch.setattr(sharded_mod, "_simulate_shard_fork_state",
-                            boom)
-        monkeypatch.setattr(sharded_mod, "_simulate_shard", boom)
-        faults, words = self._fault_job(s27_mapped)
-        backend = ShardedBackend(shards=2, min_faults_per_shard=4,
-                                 pool=pool)
-        result = backend.fault_simulate_batch(s27_mapped, faults,
-                                              words, 64)
-        assert result.n_detected > 0
 
     def test_using_pool_context_restores(self, pool):
         backend = ShardedBackend()
@@ -233,6 +219,141 @@ class TestPooledDispatch:
             shutdown_shared_pool()
 
 
+class TestDispatch:
+    """Every shard task goes through a ``WorkerPool``: the attached one,
+    or exactly one transient pool per sharded call."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """``(pool, event)`` log of every ``WorkerPool`` built, started
+        or closed while the test runs."""
+        import repro.campaign.pool as pool_mod
+        events = []
+
+        class RecordingPool(pool_mod.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                events.append((self, "init"))
+
+            def start(self):
+                if not self.started:
+                    events.append((self, "start"))
+                return super().start()
+
+            def close(self):
+                if self.started:
+                    events.append((self, "close"))
+                super().close()
+
+        monkeypatch.setattr(pool_mod, "WorkerPool", RecordingPool)
+        return events
+
+    def test_attached_pool_builds_no_transient_pool(self, s27_mapped,
+                                                     pool, pools):
+        faults, words = _fault_job(s27_mapped)
+        backend = ShardedBackend(shards=2, min_faults_per_shard=4,
+                                 pool=pool)
+        result = backend.fault_simulate_batch(s27_mapped, faults,
+                                              words, 64)
+        assert result.n_detected > 0
+        assert pools == []
+
+    def test_one_transient_pool_per_call(self, s27_mapped, pools):
+        faults, words = _fault_job(s27_mapped)
+        ref = fault_simulate(s27_mapped, faults, words, 64,
+                             backend="numpy")
+        backend = ShardedBackend(shards=2, min_faults_per_shard=4)
+        for call in range(2):
+            got = backend.fault_simulate_batch(s27_mapped, faults,
+                                               words, 64)
+            assert got.detected == ref.detected
+            assert got.remaining == ref.remaining
+            transient = pools[3 * call][0]
+            assert pools[3 * call:] == [(transient, "init"),
+                                        (transient, "start"),
+                                        (transient, "close")]
+
+    def test_one_transient_pool_per_episode_call(self, s27_design,
+                                                 pools):
+        from repro.simulation.episode import compile_episode_plan
+        from tests.conftest import random_vectors
+        plan = compile_episode_plan(s27_design,
+                                    random_vectors(s27_design, 6))
+        ref = get_backend("numpy").simulate_episode_batch(
+            plan, keep_waveforms=True)
+        backend = ShardedBackend(shards=2, episode_budget=4)
+        got = backend.simulate_episode_batch(plan, keep_waveforms=True)
+        assert got == ref
+        assert [event for _, event in pools] == ["init", "start",
+                                                 "close"]
+
+    def test_spawned_transient_pool_is_sent_the_job(self, s27_mapped,
+                                                    monkeypatch):
+        # Where the platform does not fork, the transient pool cannot
+        # inherit the job; it is sent each task's cut-down job instead.
+        import repro.campaign.pool as pool_mod
+
+        class SpawnPool(pool_mod.WorkerPool):
+            def __init__(self, processes=None):
+                super().__init__(processes, start_method="spawn")
+
+        monkeypatch.setattr(pool_mod, "WorkerPool", SpawnPool)
+        faults, words = _fault_job(s27_mapped)
+        ref = fault_simulate(s27_mapped, faults, words, 64,
+                             backend="numpy")
+        backend = ShardedBackend(shards=2, min_faults_per_shard=4)
+        got = backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+        assert got.detected == ref.detected
+        assert got.remaining == ref.remaining
+
+    def test_live_pool_registry_unchanged(self, s27_mapped, monkeypatch):
+        import repro.campaign.pool as pool_mod
+        import repro.simulation.backends.sharded as sharded_mod
+        before = set(pool_mod._LIVE_POOLS)
+        faults, words = _fault_job(s27_mapped)
+        backend = ShardedBackend(shards=2, min_faults_per_shard=4)
+        backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+        assert pool_mod._LIVE_POOLS == before
+        monkeypatch.setattr(sharded_mod, "_fault_task", _failing_task)
+        with pytest.raises(pool_mod.WorkerPoolError,
+                           match="shard task failed"):
+            backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+        assert pool_mod._LIVE_POOLS == before
+
+    def test_transient_pool_survives_worker_kills(self, s27_mapped):
+        """Per-call shards get the pool's supervised respawn: killed
+        workers are replaced and their tasks re-run, bit-identically."""
+        import repro.chaos as chaos
+        from repro.campaign.pool import _respawn_counter
+        from repro.simulation.fault_episode import (
+            compile_fault_episode_plan,
+        )
+        faults, words = _fault_job(s27_mapped)
+        ref = fault_simulate(s27_mapped, faults, words, 64,
+                             backend="numpy")
+        n = 8 * 64  # eight one-word pattern windows on two workers
+        wide = random_input_words(s27_mapped, n, make_rng(2))
+        plan = compile_fault_episode_plan(s27_mapped, faults, wide, n)
+        ref_plan = get_backend("numpy").fault_simulate_plan(plan,
+                                                            drop=False)
+        backend = ShardedBackend(shards=2, min_faults_per_shard=4)
+        respawns = _respawn_counter().value
+        chaos.enable("seed=5,pool.task.kill=0.3")
+        try:
+            got = fault_simulate(s27_mapped, faults, words, 64,
+                                 backend=backend)
+            got_plan = backend.fault_simulate_plan(
+                compile_fault_episode_plan(s27_mapped, faults, wide, n),
+                drop=False, stream_budget=1)
+        finally:
+            chaos.disable()
+        assert got.detected == ref.detected
+        assert got.remaining == ref.remaining
+        assert got_plan.detected == ref_plan.detected
+        assert got_plan.remaining == ref_plan.remaining
+        assert _respawn_counter().value > respawns
+
+
 class TestCircuitInterning:
     """Worker-side intern table behind the pooled dispatch path."""
 
@@ -256,26 +377,3 @@ class TestCircuitInterning:
             sharded_mod._interned_circuit(builders.s27(), f"fp{i}")
         assert len(sharded_mod._INTERNED_CIRCUITS) == \
             sharded_mod._INTERN_MAX
-
-
-class TestEpisodeWindowSlicing:
-    def test_window_word_matches_shift(self):
-        """Byte-view windows must equal the straightforward
-        shift-and-mask slices for arbitrary (unaligned) bounds."""
-        import numpy as np
-
-        from repro.simulation.backends.sharded import (
-            _plan_byte_map,
-            _window_word,
-            shard_bounds,
-        )
-        from repro.simulation.values import mask
-
-        rng = np.random.default_rng(3)
-        n = 203  # deliberately not a multiple of 8 or 64
-        word = int.from_bytes(rng.bytes((n + 7) // 8), "little") & mask(n)
-        raw = _plan_byte_map({"x": word}, n)["x"]
-        for n_chunks in (1, 2, 3, 7, 40):
-            for start, stop in shard_bounds(n, n_chunks):
-                expected = (word >> start) & mask(stop - start)
-                assert _window_word(raw, start, stop) == expected
