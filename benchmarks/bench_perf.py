@@ -351,8 +351,8 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
     def per_batch():
         merged: dict = {}
         for i, batch in enumerate(chunk_words):
-            result = engine.fault_simulate_batch(
-                s1423_mapped, universe, batch, chunk, drop=False)
+            result = fault_simulate(s1423_mapped, universe, batch, chunk,
+                                    drop=False, backend=engine)
             for fault, word in result.detected.items():
                 merged[fault] = merged.get(fault, 0) | (word << i * chunk)
         return merged

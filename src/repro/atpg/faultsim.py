@@ -5,15 +5,17 @@ value, re-simulate only the fault's fanout cone, and compare the good and
 faulty words at the observable lines.  With 64-4096 patterns per packed
 word this is the standard parallel-pattern single-fault method.
 
-The heavy lifting is delegated to the selected simulation backend via
-:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`:
+:func:`fault_simulate` compiles its arguments into a one-shot
+:class:`~repro.simulation.fault_episode.FaultEpisodePlan` and hands it
+to the selected engine's
+:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`, the
+one fault-simulation entry point every engine has:
 
-* ``bigint`` runs the scalar big-int cone replay below (the bit-exact
-  reference);
-* ``numpy`` replays whole fault batches on the ``uint64`` pattern matrix
-  (:mod:`repro.simulation.backends.fault_kernel`);
-* ``sharded`` partitions the fault list over worker processes and merges
-  the per-shard results deterministically
+* ``bigint`` runs :func:`scalar_replay` below (the bit-exact reference);
+* ``numpy``/``array_api`` replay whole fault batches on the ``uint64``
+  pattern matrix (:mod:`repro.simulation.backends.fault_kernel`);
+* ``sharded`` partitions the fault list (or the pattern axis) over
+  worker processes and merges the per-shard results deterministically
   (:mod:`repro.simulation.backends.sharded`).
 
 All engines return bit-identical detection words and the same
@@ -30,10 +32,11 @@ from repro.atpg.faults import Fault, observable_lines
 from repro.netlist.circuit import Circuit
 from repro.simulation.backends import Backend, resolve_fault_backend
 from repro.simulation.bitsim import eval_gate_packed
+from repro.simulation.fault_episode import FaultEpisodePlan
 from repro.simulation.values import mask
 
 __all__ = ["FaultSimResult", "detect_word", "fault_simulate",
-           "scalar_fault_simulate", "scalar_replay"]
+           "scalar_replay"]
 
 
 @dataclasses.dataclass
@@ -47,6 +50,24 @@ class FaultSimResult:
 
     detected: dict[Fault, int]
     remaining: list[Fault]
+
+    @classmethod
+    def from_words(cls, faults: Sequence[Fault],
+                   words: Mapping[Fault, int]) -> "FaultSimResult":
+        """Result from per-fault detection words (missing = undetected).
+
+        ``detected`` and ``remaining`` follow ``faults``' order, so every
+        engine, window fold and shard merge reports the same ordering.
+        """
+        detected: dict[Fault, int] = {}
+        remaining: list[Fault] = []
+        for fault in faults:
+            word = words.get(fault, 0)
+            if word:
+                detected[fault] = word
+            else:
+                remaining.append(fault)
+        return cls(detected=detected, remaining=remaining)
 
     @property
     def n_detected(self) -> int:
@@ -108,47 +129,23 @@ def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
 
     ``good`` holds the fault-free interchange words of every line
     (whichever backend produced them — words are backend-agnostic).
-    This is the shared core of :func:`scalar_fault_simulate` and of the
-    plan-based reference path
-    (:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`),
-    which reuses one good machine across many calls instead of
-    re-simulating it per batch.
+    This is the reference replay behind
+    :meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`
+    and the semantics every vectorized kernel must reproduce exactly.
+    ``cone_cache`` may be shared across calls on the same (unmodified)
+    circuit to amortise fanout-cone extraction.
     """
     obs = observable_lines(circuit)
-    detected: dict[Fault, int] = {}
-    remaining: list[Fault] = []
     if cone_cache is None:
         cone_cache = {}
+    words: dict[Fault, int] = {}
     for fault in faults:
         cone = cone_cache.get(fault.line)
         if cone is None:
             cone = _cone_order(circuit, fault.line)
             cone_cache[fault.line] = cone
-        word = detect_word(circuit, fault, good, n, obs, cone)
-        if word:
-            detected[fault] = word
-        else:
-            remaining.append(fault)
-    return FaultSimResult(detected=detected, remaining=remaining)
-
-
-def scalar_fault_simulate(backend: Backend, circuit: Circuit,
-                          faults: Sequence[Fault],
-                          input_words: Mapping[str, int], n: int,
-                          drop: bool = True,
-                          cone_cache: dict[str, list[str]] | None = None
-                          ) -> FaultSimResult:
-    """Reference fault simulation: scalar big-int cone replay per fault.
-
-    ``backend`` supplies the fault-free pass; the per-fault replay works
-    on interchange words, so detection words are bit-identical no matter
-    which backend computed the good machine.  This is the default
-    :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
-    implementation and the semantics every vectorized kernel must
-    reproduce exactly.
-    """
-    good = backend.simulate_packed(circuit, input_words, n)
-    return scalar_replay(circuit, faults, good, n, cone_cache=cone_cache)
+        words[fault] = detect_word(circuit, fault, good, n, obs, cone)
+    return FaultSimResult.from_words(faults, words)
 
 
 def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
@@ -171,10 +168,18 @@ def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
     (vectorized engines keep their own per-circuit plans).
 
     ``backend`` selects the fault-simulation engine (name, instance or
-    ``None``).  ``None`` resolves to ``$REPRO_FAULT_BACKEND`` when set,
-    else the session default.  Detection words and ``remaining`` ordering
-    are bit-identical across all engines.
+    ``None``); ``None`` resolves through
+    :func:`~repro.simulation.backends.resolve_fault_backend`.  The call
+    is one :class:`~repro.simulation.fault_episode.FaultEpisodePlan`
+    on that engine and, like a
+    :class:`~repro.simulation.fault_episode.FaultSimSession`, streams
+    pattern windows when a stream budget resolves and the good machine
+    exceeds it.  Detection words and ``remaining`` ordering are
+    bit-identical across all engines.
     """
     engine = resolve_fault_backend(backend)
-    return engine.fault_simulate_batch(circuit, faults, input_words, n,
-                                       drop=drop, cone_cache=cone_cache)
+    if n == 0:
+        return FaultSimResult(detected={}, remaining=list(faults))
+    plan = FaultEpisodePlan(circuit, faults, input_words, n,
+                            cone_cache=cone_cache)
+    return engine.fault_simulate_plan(plan, drop=drop)

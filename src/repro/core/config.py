@@ -182,27 +182,17 @@ class FlowConfig:
     def fault_simulation_backend(self):
         """The backend spec the flow's fault simulations should use.
 
-        Precedence mirrors :mod:`repro.simulation.backends`: an explicit
-        ``fault_backend``/``shards`` wins, else ``$REPRO_FAULT_BACKEND``,
-        else the plain ``backend`` (``None`` = session default).  Returns
-        a fresh :class:`ShardedBackend` instance when a shard count is
+        Resolved by :func:`repro.simulation.backends.fault_backend_spec`:
+        an explicit ``fault_backend``/``shards`` wins, else the session
+        fault backend, else ``$REPRO_FAULT_BACKEND``, else the plain
+        ``backend`` (``None`` = the plain session chain).  Returns a
+        fresh :class:`ShardedBackend` instance when a shard count is
         pinned, so concurrent flows with different configs never fight
         over the registry singleton.
         """
-        name = self.fault_backend
-        if name is None and self.shards is not None:
-            name = "sharded"
-        if name == "sharded" and self.shards is not None:
-            from repro.simulation.backends import ShardedBackend
-            return ShardedBackend(shards=self.shards)
-        if name is None:
-            import os
-
-            from repro.simulation.backends import DEFAULT_FAULT_BACKEND_ENV
-            name = os.environ.get(DEFAULT_FAULT_BACKEND_ENV, "") or None
-        if name is None:
-            return self.backend
-        return name
+        from repro.simulation.backends import fault_backend_spec
+        return fault_backend_spec(self.fault_backend, self.shards,
+                                  self.backend)
 
     def library(self) -> CellLibrary:
         """The cell library used throughout the flow."""

@@ -11,9 +11,17 @@ Four registry entries ship with the library:
   (``numpy`` default, ``cupy``/other via ``--array-namespace`` /
   :attr:`repro.runtime.RuntimeOptions.array_namespace` /
   ``$REPRO_ARRAY_NAMESPACE``) — the GPU/accelerator path;
-* ``sharded`` — meta-backend partitioning fault lists over
-  ``multiprocessing`` workers (``numpy`` inside each worker); plain
-  packed simulation delegates to the inner engine.
+* ``sharded`` — meta-backend partitioning fault simulation (fault or
+  pattern axis) and oversized episode replays over worker processes
+  (``numpy`` inside each worker); plain packed simulation delegates to
+  the inner engine.
+
+An engine implements ``run`` and ``eval_gate_packed``.  Fault
+simulation has one entry point,
+:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`,
+whose base implementation handles streaming and replays through one
+optional hook (``_replay``: scalar cone replay by default, the fused
+kernel on the matrix engines).
 
 All backends produce bit-identical packed words, fault-detection words
 and IEEE-identical derived floats; the choice only affects speed.
@@ -28,13 +36,15 @@ Selection, in precedence order:
 3. the ``REPRO_SIM_BACKEND`` environment variable;
 4. the built-in default, ``bigint``.
 
-Fault simulation resolves one extra level: an explicit fault-engine spec
+Fault simulation resolves its own chain, in one place
+(:func:`fault_backend_spec`): an explicit fault-engine spec
 (``fault_simulate(backend=...)``, ``FlowConfig.fault_backend``/
-``.shards``, the CLI's ``--fault-backend``/``--shards``) wins; otherwise
-``REPRO_FAULT_BACKEND`` overrides the *whole* chain above — it is a
-targeted knob so e.g. CI can force sharded fault simulation across a run
-regardless of how the plain backend was chosen; otherwise the session
-chain (2-4) applies.
+``.shards``, the CLI's ``--fault-backend``/``--shards``) wins; then the
+session fault backend (:attr:`repro.runtime.RuntimeOptions.
+fault_backend`); then ``REPRO_FAULT_BACKEND`` — a targeted knob so e.g.
+CI can force sharded fault simulation across a run regardless of how
+the plain backend was chosen; then a flow's plain
+``FlowConfig.backend``; then the session chain (2-4).
 
 Third-party engines register with :func:`register_backend` and become
 addressable by name everywhere.
@@ -66,6 +76,7 @@ __all__ = [
     "set_default_backend",
     "default_backend_name",
     "default_fault_backend_name",
+    "fault_backend_spec",
     "DEFAULT_BACKEND_ENV",
     "DEFAULT_FAULT_BACKEND_ENV",
 ]
@@ -143,6 +154,13 @@ def resolve_backend(backend: str | Backend | None) -> Backend:
     return get_backend(backend)
 
 
+def _session_fault_backend_name() -> str | None:
+    """The session fault backend, else ``$REPRO_FAULT_BACKEND``."""
+    from repro.runtime import session_defaults
+    return session_defaults().fault_backend or \
+        os.environ.get(DEFAULT_FAULT_BACKEND_ENV, "") or None
+
+
 def default_fault_backend_name() -> str:
     """Default engine for fault simulation.
 
@@ -153,12 +171,31 @@ def default_fault_backend_name() -> str:
     module docstring), else the plain session default chain.  Results
     are bit-identical either way; only speed changes.
     """
-    from repro.runtime import session_defaults
-    override = session_defaults().fault_backend
-    if override is not None:
-        return override
-    return os.environ.get(DEFAULT_FAULT_BACKEND_ENV, "") or \
-        default_backend_name()
+    return _session_fault_backend_name() or default_backend_name()
+
+
+def fault_backend_spec(fault_backend: str | Backend | None = None,
+                       shards: int | None = None,
+                       backend: str | Backend | None = None
+                       ) -> str | Backend | None:
+    """The fault-engine spec of a flow, resolved in one place.
+
+    Precedence: an explicit ``fault_backend``/``shards`` (a shard count
+    implies ``sharded`` and yields a fresh :class:`ShardedBackend`, so
+    concurrent runs with different counts never share the registry
+    singleton), then the session fault backend, then
+    ``$REPRO_FAULT_BACKEND``, then the flow's plain ``backend``, then
+    ``None`` — which :func:`resolve_fault_backend` resolves through the
+    plain session chain.
+    """
+    name = fault_backend
+    if name is None and shards is not None:
+        name = "sharded"
+    if name == "sharded" and shards is not None:
+        return ShardedBackend(shards=shards)
+    if name is None:
+        name = _session_fault_backend_name()
+    return backend if name is None else name
 
 
 def resolve_fault_backend(backend: str | Backend | None) -> Backend:

@@ -55,7 +55,6 @@ from repro.cells.library import CellLibrary
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.obs.trace import span
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.kernels import (
     eval_gate_rows,
@@ -70,7 +69,6 @@ from repro.simulation.schedule import LevelizedSchedule, cached_schedule
 from repro.simulation.values import mask
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be cyclic
-    from repro.atpg.faults import Fault
     from repro.atpg.faultsim import FaultSimResult
     from repro.simulation.fault_episode import FaultEpisodePlan
 
@@ -348,80 +346,23 @@ class ArrayApiBackend(Backend):
                              to_device(xp, full_row), (n_words,))
         return row_to_int(to_host(out))
 
-    def fault_simulate_batch(self, circuit: Circuit,
-                             faults: "Sequence[Fault]",
-                             input_words: Mapping[str, int], n: int,
-                             drop: bool = True,
-                             cone_cache: dict[str, list[str]] | None = None
-                             ) -> "FaultSimResult":
-        """Fused batched cone replay, tiles evaluated on the namespace.
-
-        See :mod:`repro.simulation.backends.fault_kernel`; bit-identical
-        to the scalar reference.  ``cone_cache`` (a string-keyed cache
-        of the scalar path) is ignored — the kernel keeps its own
-        per-circuit plan.
-        """
-        from repro.simulation.backends.fault_kernel import (
-            fault_simulate_matrix,
-        )
-        state = self.run(circuit, input_words, n)
-        return fault_simulate_matrix(state, faults, drop=drop,
-                                     xp=state.namespace,
-                                     matrix=state.device_matrix)
-
-    def fault_simulate_plan(self, plan: "FaultEpisodePlan",
-                            drop: bool = True,
-                            stream_budget: int | None = None
-                            ) -> "FaultSimResult":
+    def _replay(self, plan: "FaultEpisodePlan",
+                element_budget: int | None = None) -> "FaultSimResult":
         """Whole-plan replay on the 2-D-tiled kernel, namespace-resident.
 
         The plan's memoized good-machine state (and with it the
         levelized schedule and the device matrix) is settled once and
         reused across every fault-axis chunk and pattern-axis word
         block; see :func:`repro.simulation.backends.fault_kernel.
-        fault_simulate_matrix`.  Bit-identical to the scalar reference
-        for every tile geometry.  A resolved ``stream_budget`` the plan
-        exceeds switches to streamed pattern windows (the memoized state
-        is bypassed — it is exactly the matrix streaming avoids).
+        fault_simulate_matrix`.  A streamed window passes the stream
+        budget as ``element_budget``, so a faulty tile never outgrows the
+        window it streams from.  Bit-identical to the scalar reference
+        for every tile geometry.
         """
         from repro.simulation.backends.fault_kernel import (
             fault_simulate_matrix,
         )
-        from repro.simulation.streaming import (
-            resolve_stream_budget,
-            stream_fault_plan,
-        )
-        budget = resolve_stream_budget(stream_budget)
-        if budget is not None and plan.state_elements() > budget:
-            return stream_fault_plan(self, plan, budget)
         state = plan.good_state(self)
         assert isinstance(state, ArrayApiState)
-        with span("sim.fault_plan", backend=self.name,
-                  faults=plan.n_faults, patterns=plan.n):
-            return fault_simulate_matrix(state, plan.faults, drop=drop,
-                                         xp=state.namespace,
-                                         matrix=state.device_matrix)
-
-    def fault_window_result(self, circuit: Circuit,
-                            faults: "Sequence[Fault]",
-                            input_words: Mapping[str, int], n: int,
-                            element_budget: int | None = None
-                            ) -> "FaultSimResult":
-        """One streamed pattern window on the tiled kernel.
-
-        The good machine is settled over the window's cycles only and
-        the fault tiles are evaluated from that window view, with the
-        kernel's element budget capped at the stream budget so a faulty
-        tile never outgrows the window it streams from.
-        """
-        from repro.simulation.backends.fault_kernel import (
-            _BATCH_ELEMENT_BUDGET,
-            fault_simulate_matrix,
-        )
-        state = self.run(circuit, input_words, n)
-        budget = _BATCH_ELEMENT_BUDGET if element_budget is None else \
-            min(element_budget, _BATCH_ELEMENT_BUDGET)
-        return fault_simulate_matrix(state, faults, drop=False,
-                                     element_budget=budget,
-                                     xp=state.namespace,
-                                     matrix=state.device_matrix)
+        return fault_simulate_matrix(state, plan.faults,
+                                     element_budget=element_budget)

@@ -13,6 +13,13 @@ produced by :func:`repro.simulation.bitsim.simulate_packed`.  Every
 backend must return bit-identical words (and IEEE-identical derived
 floats) for the same stimulus, which the differential property tests in
 ``tests/properties`` enforce.
+
+Above ``run`` sit two plan capabilities with reference implementations
+every engine inherits: :meth:`Backend.simulate_episode_batch` (scan
+power replay) and :meth:`Backend.fault_simulate_plan` (stuck-at fault
+detection — the protocol's only fault-simulation method).  The latter
+owns the stream-budget dispatch and delegates resident work to one
+replay hook, ``_replay``, which vectorized engines override.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from repro.netlist.gates import GateType
 from repro.obs.trace import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.atpg.faults import Fault
     from repro.atpg.faultsim import FaultSimResult
     from repro.simulation.episode import EpisodeBatchResult, EpisodePlan
     from repro.simulation.fault_episode import FaultEpisodePlan
@@ -217,56 +223,31 @@ class Backend(abc.ABC):
                 waveforms=state.words() if keep_waveforms else None,
             )
 
-    def fault_simulate_batch(self, circuit: Circuit,
-                             faults: "Sequence[Fault]",
-                             input_words: Mapping[str, int], n: int,
-                             drop: bool = True,
-                             cone_cache: dict[str, list[str]] | None = None
-                             ) -> "FaultSimResult":
-        """Simulate a stuck-at fault list against ``n`` packed patterns.
-
-        The contract mirrors :func:`repro.atpg.faultsim.fault_simulate`:
-        ``detected`` maps each detected fault to the packed word of *all*
-        detecting patterns, ``remaining`` lists the undetected faults in
-        input order, and both must be bit-identical across backends.
-
-        The default implementation is the scalar big-int cone replay
-        (fault-free pass on this backend, per-fault replay on interchange
-        words); vectorized engines override it with fused kernels.
-        """
-        from repro.atpg.faultsim import scalar_fault_simulate
-        return scalar_fault_simulate(self, circuit, faults, input_words,
-                                     n, drop=drop, cone_cache=cone_cache)
-
     def fault_simulate_plan(self, plan: "FaultEpisodePlan",
                             drop: bool = True,
                             stream_budget: int | None = None
                             ) -> "FaultSimResult":
-        """Replay a compiled fault x pattern plan in one fused pass.
+        """Simulate a compiled fault x pattern plan.
 
         ``plan`` is a :class:`~repro.simulation.fault_episode.
-        FaultEpisodePlan` packing a whole fault universe against a whole
-        pattern set.  The contract is exactly
-        :meth:`fault_simulate_batch` on the plan's components —
-        detection words record all detecting patterns, ``remaining``
-        follows the plan's fault order, and results are bit-identical
-        across engines, tile geometries and shard counts.
+        FaultEpisodePlan` packing a fault list against a pattern set.
+        ``detected`` maps each detected fault to the packed word of
+        *all* detecting patterns, ``remaining`` lists the undetected
+        faults in the plan's fault order, and both are bit-identical
+        across engines, tile geometries and shard counts.  ``drop``
+        lets an engine stop refining detected faults; it never changes
+        one call's result.
 
-        The default implementation is the scalar big-int cone replay
-        over the plan's **memoized** good-machine words (one fault-free
-        pass per backend, shared across calls and shards via the plan's
-        state cache) with the plan's shared cone cache — the pinned
-        reference semantics.  The numpy engine overrides this with the
-        2-D-tiled kernel; the sharded meta-backend shards the fault
-        axis (drop mode) or the pattern axis (no-drop matrices).
-
-        When a ``stream_budget`` resolves and the plan's good-machine
-        state would exceed it, evaluation streams word-aligned pattern
-        windows instead of memoizing the full state (both drop modes —
-        within one call dropping cannot change detection words); see
-        :mod:`repro.simulation.streaming`.
+        This is the only fault-simulation method of the protocol, and
+        it holds the only stream-budget dispatch: when a
+        ``stream_budget`` resolves (argument > session default >
+        ``$REPRO_STREAM_BUDGET``) and the plan's good-machine state
+        would exceed it, word-aligned pattern windows stream through
+        :meth:`_replay` instead (see :mod:`repro.simulation.streaming`);
+        otherwise :meth:`_replay` runs on the whole plan.  Meta engines
+        override this method to shard the call (see
+        :class:`~repro.simulation.backends.sharded.ShardedBackend`).
         """
-        from repro.atpg.faultsim import scalar_replay
         from repro.simulation.streaming import (
             resolve_stream_budget,
             stream_fault_plan,
@@ -276,27 +257,23 @@ class Backend(abc.ABC):
             return stream_fault_plan(self, plan, budget)
         with span("sim.fault_plan", backend=self.name,
                   faults=plan.n_faults, patterns=plan.n):
-            return scalar_replay(plan.circuit, plan.faults,
-                                 plan.good_words(self), plan.n,
-                                 cone_cache=plan.cone_cache)
+            return self._replay(plan)
 
-    def fault_window_result(self, circuit: Circuit,
-                            faults: "Sequence[Fault]",
-                            input_words: Mapping[str, int], n: int,
-                            element_budget: int | None = None
-                            ) -> "FaultSimResult":
-        """One pattern window of a streamed fault plan.
+    def _replay(self, plan: "FaultEpisodePlan",
+                element_budget: int | None = None) -> "FaultSimResult":
+        """Resident replay of one plan (or one streamed window of one).
 
-        Drop-free by contract: within a single call every pattern is
-        simulated at once, so the detection word of each fault records
-        *all* of the window's detecting patterns and the streamed
-        OR-fold reconstructs both drop modes' results exactly.
-        ``element_budget`` bounds any internal tiling the engine does
-        (the numpy kernel evaluates its fault tiles from the window
-        view under this budget).
+        The reference is the scalar big-int cone replay
+        (:func:`~repro.atpg.faultsim.scalar_replay`) over the plan's
+        memoized good-machine words and shared cone cache.  Vectorized
+        engines override it with fused kernels; ``element_budget`` caps
+        any internal tiling so a streamed window's tiles never outgrow
+        the window.
         """
-        return self.fault_simulate_batch(circuit, faults, input_words, n,
-                                         drop=False)
+        from repro.atpg.faultsim import scalar_replay
+        return scalar_replay(plan.circuit, plan.faults,
+                             plan.good_words(self), plan.n,
+                             cone_cache=plan.cone_cache)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -27,15 +27,19 @@ Gates outside a fault's own cone recompute their fault-free values in
 that lane (their inputs are untouched there), so the union replay is
 exact: detection words are bit-identical to the scalar reference.
 
-Fault dropping happens per batch exactly as in the reference: every
-pattern of the call is simulated at once, so the detection word always
-records all detecting patterns and ``drop`` cannot change the result.
+Every pattern of the call is simulated at once, so a detection word
+always records all detecting patterns and the kernel takes no ``drop``
+argument: dropping cannot change one call's result.
 
-The per-tile replay itself lives in the namespace-parameterized kernels
+This kernel is the ``numpy``/``array_api`` engine's replay hook
+(``ArrayApiBackend._replay``), which every resident plan and every
+streamed window of :meth:`~repro.simulation.backends.base.Backend.
+fault_simulate_plan` reaches.  The per-tile replay itself lives in the
+namespace-parameterized kernels
 (:func:`repro.simulation.kernels.detect_tile`): this module owns the
 host-side plan (index arrays, cone cache, tile geometry, fault
-ordering) and drives the shared kernel with ``xp = numpy`` by default
-or with whatever namespace the ``array_api`` backend passes in.
+ordering) and drives the shared kernel on the settled state's own
+namespace and device matrix.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ def tile_geometry(plan: FaultSimPlan, n_words: int,
     instead of letting the faulty matrix overshoot.  Tile boundaries
     are invisible in the results — every (fault, pattern) cell is
     computed independently — so the geometry is purely a memory/speed
-    knob.
+    knob.  ``element_budget`` can only lower the default budget.
 
     Memoized on the plan per ``(n_words, budget)``: repeated dispatches
     of the same plan (campaign sweeps re-evaluating one circuit over
@@ -181,7 +185,7 @@ def tile_geometry(plan: FaultSimPlan, n_words: int,
     if cached is not None:
         return cached
     budget = _BATCH_ELEMENT_BUDGET if element_budget is None \
-        else element_budget
+        else min(element_budget, _BATCH_ELEMENT_BUDGET)
     n_words = max(1, n_words)
     per_fault = max(1, plan.n_rows * n_words)
     size = budget // per_fault
@@ -196,40 +200,33 @@ def tile_geometry(plan: FaultSimPlan, n_words: int,
 
 def fault_simulate_matrix(state: "ArrayApiState",
                           faults: "Sequence[Fault]",
-                          drop: bool = True,
-                          element_budget: int | None = None,
-                          xp: object | None = None,
-                          matrix: object | None = None
+                          element_budget: int | None = None
                           ) -> "FaultSimResult":
     """Batched fault simulation over a settled packed state, 2-D tiled.
 
     ``state`` is the fault-free simulation of the target patterns
     (:meth:`ArrayApiBackend.run`); the result is bit-identical to
-    :func:`repro.atpg.faultsim.scalar_fault_simulate` on the same
-    stimulus, including ``remaining`` ordering, for **every** tile
-    geometry (:func:`tile_geometry`): the fault axis is chunked under
-    the element budget and, for pattern sets too wide for even the
-    minimum fault chunk, the pattern axis is additionally tiled into
-    word blocks — each block replays the same union-of-cones kernel on
-    a column slice of the waveform matrix, reusing the settled good
-    state, the levelized schedule and one scratch ``faulty`` buffer
-    across all tiles.
+    :func:`repro.atpg.faultsim.scalar_replay` on the same stimulus,
+    including ``remaining`` ordering, for **every** tile geometry
+    (:func:`tile_geometry`): the fault axis is chunked under the element
+    budget and, for pattern sets too wide for even the minimum fault
+    chunk, the pattern axis is additionally tiled into word blocks —
+    each block replays the same union-of-cones kernel on a column slice
+    of the waveform matrix, reusing the settled good state, the
+    levelized schedule and one scratch ``faulty`` buffer across all
+    tiles.
 
-    ``element_budget`` overrides the batch budget (tests force tiny
-    budgets to pin multi-tile geometries; production uses the default).
-    ``xp``/``matrix`` retarget the tile replay at another array
-    namespace and its device-resident waveform matrix (the ``array_api``
-    backend passes both); the default is numpy on ``state.matrix``.
-    Detection words transfer to the host once per tile — the merge
-    boundary.
+    ``element_budget`` lowers the batch budget (streamed windows pass
+    the stream budget so a faulty tile never outgrows its window; tests
+    force tiny budgets to pin multi-tile geometries).  Tiles replay on the state's array namespace and its
+    device-resident waveform matrix; detection words transfer to the
+    host once per tile — the merge boundary.
     """
     from repro.atpg.faultsim import FaultSimResult
 
-    if xp is None:
-        xp = np
+    xp = state.namespace
+    matrix = state.device_matrix
     plan = cached_fault_plan(state.circuit)
-    if matrix is None:
-        matrix = state.matrix
     n_words = matrix.shape[1]
     full_row = matrix[plan.ones_index]
 
@@ -256,13 +253,4 @@ def fault_simulate_matrix(state: "ArrayApiState",
         det = np.ascontiguousarray(det)
         for i, fault in enumerate(batch):
             words[fault] = int.from_bytes(det[i].tobytes(), "little")
-
-    detected: dict[Fault, int] = {}
-    remaining: list[Fault] = []
-    for fault in faults:
-        word = words[fault]
-        if word:
-            detected[fault] = word
-        else:
-            remaining.append(fault)
-    return FaultSimResult(detected=detected, remaining=remaining)
+    return FaultSimResult.from_words(faults, words)

@@ -1,12 +1,15 @@
 """Process-sharded simulation meta-backend (fault, pattern and cycle axes).
 
 ``ShardedBackend`` wraps an inner engine (``numpy`` by default).  Plain
-packed simulation delegates straight to the inner backend; fault
-simulation partitions the fault list into contiguous shards, simulates
-each shard in a worker process with the inner engine, and merges the
-per-shard :class:`~repro.atpg.faultsim.FaultSimResult` objects in shard
-order.  Batched *episode* simulation
-(:meth:`ShardedBackend.simulate_episode_batch`) shards the other axis:
+packed simulation delegates straight to the inner backend.  Fault
+simulation (:meth:`ShardedBackend.fault_simulate_plan`, its one fault
+entry point) cuts a compiled plan into slice plans — contiguous fault
+ranges in drop mode, word-aligned pattern windows for no-drop
+detection matrices — replays each slice in a worker process through the
+inner engine's own ``fault_simulate_plan``, and merges the slices in
+plan fault order (fault ranges concatenate, pattern windows OR their
+shifted detection words).  Batched *episode* simulation
+(:meth:`ShardedBackend.simulate_episode_batch`) shards the cycle axis:
 oversized :class:`~repro.simulation.episode.EpisodePlan`\\ s are split
 into contiguous **cycle ranges** under a fixed memory budget, each chunk
 is simulated by a worker, and the chunk results are merged with
@@ -17,12 +20,13 @@ for every chunk count.
 
 Determinism guarantees:
 
-* shards are contiguous slices of the input fault list, so the merged
-  ``detected`` insertion order and ``remaining`` ordering equal the
-  single-process result exactly;
+* fault shards are contiguous slices of the plan's fault list, and
+  every (fault, pattern) detection bit is computed independently, so
+  both merges give ``detected``/``remaining`` in plan fault order —
+  the single-process result exactly;
 * every shard runs the same bit-identical kernel on the same patterns,
-  so detection words never depend on the shard count (the differential
-  property tests pin this against the big-int reference);
+  so detection words never depend on the shard count or the axis (the
+  differential property tests pin this against the big-int reference);
 * fault dropping happens per shard — each worker drops its own detected
   faults — which is exactly the reference semantics, because dropping
   never crosses fault boundaries within one call;
@@ -30,9 +34,10 @@ Determinism guarantees:
   single float pricing pass in table order, so leakage floats and
   concatenated waveforms never depend on the chunk count either.
 
-Short fault lists (below ``min_faults_per_shard`` per worker) run inline
-on the inner backend: starting workers costs more than it saves there,
-and the result is identical by construction.
+Calls too small to split (fewer than two shards' worth of faults, or a
+single pattern word) run inline on the inner backend: starting workers
+costs more than it saves there, and the result is identical by
+construction.
 
 Every sharded call dispatches through one method,
 :meth:`ShardedBackend._scatter`, onto a pool or transient pool — both
@@ -56,6 +61,7 @@ shared inputs travel as one :class:`_Job`:
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Mapping, Sequence
@@ -68,16 +74,18 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.obs.trace import span
 from repro.simulation.backends.base import Backend, SimState
+from repro.simulation.fault_episode import FaultEpisodePlan
 from repro.simulation.streaming import (
     PlanByteStore,
     episode_window_ingredients,
+    merge_fault_windows,
     plan_byte_map,
     resolve_stream_budget,
     shard_bounds,
     state_elements,
     stream_episode_ingredients,
-    stream_fault_words,
     window_word,
+    word_windows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -87,7 +95,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faultsim import FaultSimResult
     from repro.campaign.pool import WorkerPool
     from repro.simulation.episode import EpisodeBatchResult, EpisodePlan
-    from repro.simulation.fault_episode import FaultEpisodePlan
 
 __all__ = ["ShardedBackend", "shard_bounds", "DEFAULT_SHARDS_ENV"]
 
@@ -203,26 +210,20 @@ def _resolve(item: Any) -> tuple[_Job, _Task]:
 def _fault_task(item: Any) -> "FaultSimResult":
     """Worker: one fault range x pattern window of the job.
 
-    Replays the inherited settled good state when the job carries one,
-    streams the slice's pattern windows under the job's budget when it
-    has one (no worker then materializes the full good machine), and
-    otherwise runs one batched fault simulation of the window.
+    The slice becomes its own plan on the inner engine.  An inherited
+    settled good state (fault axis, forked workers) seeds the plan's
+    state cache, so the replay skips the fault-free pass; a job budget
+    makes the slice stream its own pattern windows, so no worker then
+    materializes the full good machine.
     """
-    job, ((f0, f1), (start, stop)) = _resolve(item)
-    faults = job.faults[f0:f1]
-    if job.state is not None:
-        from repro.simulation.backends import fault_kernel
-        return fault_kernel.fault_simulate_matrix(job.state, faults,
-                                                  drop=job.drop)
     from repro.simulation.backends import get_backend
-    backend = get_backend(job.inner)
-    if job.budget is not None:
-        store = PlanByteStore.from_bytes(job.stimulus, job.n)
-        return stream_fault_words(backend, job.circuit, faults, store,
-                                  job.n, job.budget)
-    return backend.fault_simulate_batch(job.circuit, faults,
-                                        job.words(start, stop),
-                                        stop - start, drop=job.drop)
+    job, ((f0, f1), (start, stop)) = _resolve(item)
+    plan = FaultEpisodePlan(
+        job.circuit, job.faults[f0:f1], job.words(start, stop),
+        stop - start,
+        state_cache=None if job.state is None else {job.inner: job.state})
+    return get_backend(job.inner).fault_simulate_plan(
+        plan, drop=job.drop, stream_budget=job.budget or 0)
 
 
 def _episode_task(item: Any) -> tuple[dict[str, int],
@@ -533,22 +534,6 @@ class ShardedBackend(Backend):
         by_size = n_faults // self.min_faults_per_shard
         return max(1, min(self.configured_shards(), by_size))
 
-    def fault_simulate_batch(self, circuit: Circuit,
-                             faults: Sequence[Fault],
-                             input_words: Mapping[str, int], n: int,
-                             drop: bool = True,
-                             cone_cache: dict[str, list[str]] | None = None
-                             ) -> FaultSimResult:
-        inner = self._inner()
-        n_shards = self.effective_shards(len(faults))
-        if n_shards <= 1:
-            return inner.fault_simulate_batch(
-                circuit, faults, input_words, n,
-                drop=drop, cone_cache=cone_cache)
-        return self._shard_fault_axis(circuit, list(faults),
-                                      dict(input_words), n, drop,
-                                      n_shards)
-
     def fault_simulate_plan(self, plan: "FaultEpisodePlan",
                             drop: bool = True,
                             stream_budget: int | None = None
@@ -561,10 +546,12 @@ class ShardedBackend(Backend):
         no-drop detection matrices shard the **pattern axis** into
         word-aligned cycle windows (every fault is refined on every
         pattern anyway, and splitting the patterns also splits the
-        fault-free simulation across workers).  Both merges are
-        integer-exact — shard-ordered concatenation resp. an OR of
-        window detection words — so the result never depends on the
-        axis or the shard count.
+        fault-free simulation across workers).  Calls too small to
+        split run inline on the inner engine.  Both merges are
+        integer-exact — shard-ordered concatenation resp.
+        :func:`~repro.simulation.streaming.merge_fault_windows`, the OR
+        of window detection words shared with the streamed fold — so
+        the result never depends on the axis or the shard count.
 
         Sharding composes with streaming: under a resolved
         ``stream_budget`` a plan exceeds, fault-axis workers stream
@@ -578,115 +565,53 @@ class ShardedBackend(Backend):
             budget = None
         if drop:
             n_shards = self.effective_shards(plan.n_faults)
-            if n_shards <= 1:
-                return inner.fault_simulate_plan(plan, drop=drop,
-                                                 stream_budget=budget or 0)
-            return self._shard_fault_axis(
-                plan.circuit, list(plan.faults), dict(plan.input_words),
-                plan.n, drop, n_shards,
-                good_state=lambda: plan.good_state(inner),
-                stream_budget=budget)
-        n_shards = min(self.configured_shards(), plan.n_words)
-        if budget is not None:
-            needed = -(plan.state_elements() // -budget)
-            n_shards = min(plan.n_words, max(n_shards, needed))
-        if n_shards <= 1 or plan.n_faults < self.min_faults_per_shard:
-            # Tiny matrices (or single-word pattern sets) run inline:
-            # starting workers costs more than the window work saves.
+            tasks = [(shard, (0, plan.n))
+                     for shard in shard_bounds(plan.n_faults, n_shards)]
+        else:
+            n_shards = min(self.configured_shards(), plan.n_words)
+            if budget is not None:
+                needed = -(plan.state_elements() // -budget)
+                n_shards = min(plan.n_words, max(n_shards, needed))
+            if plan.n_faults < self.min_faults_per_shard:
+                # Tiny matrices run inline: starting workers costs more
+                # than the window work saves.
+                n_shards = 1
+            tasks = [((0, plan.n_faults), window)
+                     for window in word_windows(plan.n, n_shards)]
+        if len(tasks) <= 1:
             return inner.fault_simulate_plan(plan, drop=drop,
                                              stream_budget=budget or 0)
-        return self._shard_pattern_axis(plan, drop, n_shards)
-
-    def _shard_fault_axis(self, circuit: Circuit, faults: "list[Fault]",
-                          words: dict[str, int], n: int, drop: bool,
-                          n_shards: int,
-                          good_state: "Callable[[], Any] | None" = None,
-                          stream_budget: int | None = None
-                          ) -> FaultSimResult:
-        """Contiguous fault-list shards over workers (stable merge).
-
-        ``good_state`` (a thunk) supplies the settled numpy state that
-        forked workers inherit; plan-based calls pass the plan's
-        memoized state so repeated dispatches on the same stimulus
-        never re-simulate the good machine.  A set ``stream_budget``
-        makes every worker replay its slice window-by-window under the
-        budget instead (drop-free windows, OR-folded — bit-identical in
-        both drop modes); the memoized state is then deliberately
-        bypassed — it *is* the resident matrix streaming avoids.
-        """
-        bounds = shard_bounds(len(faults), n_shards)
-        axis = "fault" if stream_budget is None else "fault-stream"
-        state = None
-        if stream_budget is None and self.inner_name == "numpy":
-            state = good_state or (
-                lambda: self._inner().run(circuit, words, n))
-        job = _Job(self.inner_name, circuit, plan_byte_map(words, n), n,
-                   faults, drop=drop, budget=stream_budget, state=state)
-        with span("shard.scatter", axis=axis, shards=len(bounds)):
-            parts = self._scatter(_fault_task, job,
-                                  [(shard, (0, n)) for shard in bounds])
-        with span("shard.merge", axis=axis, shards=len(bounds)):
-            return self._merge(parts)
-
-    def _shard_pattern_axis(self, plan: "FaultEpisodePlan", drop: bool,
-                            n_shards: int) -> FaultSimResult:
-        """Word-aligned cycle windows over workers, OR-merged.
-
-        Windows are contiguous ``uint64``-word ranges of the pattern
-        axis (the last window absorbs the tail bits), so each worker's
-        detection words are exact column slices of the full matrix:
-        the merge shifts them back to their window offset and ORs —
-        bit-identical to the unsharded plan for every window count.
-        Streaming can raise the window count past the worker count;
-        extra windows queue on the pool rather than adding workers.
-        """
-        faults = list(plan.faults)
-        word_bounds = shard_bounds(plan.n_words, n_shards)
-        bounds = [(w0 * 64, min(plan.n, w1 * 64))
-                  for w0, w1 in word_bounds]
-        processes = min(len(bounds), self.configured_shards())
+        state: "Callable[[], Any] | None" = None
+        if not drop:
+            # The window count already honours the budget, so pattern
+            # workers replay their window resident.
+            axis, budget = "pattern", None
+        elif budget is not None:
+            axis = "fault-stream"
+        else:
+            axis = "fault"
+            if self.inner_name == "numpy":
+                # Forked workers inherit the plan's memoized good state,
+                # so repeated dispatches on one stimulus never
+                # re-simulate the good machine.
+                state = functools.partial(plan.good_state, inner)
         job = _Job(self.inner_name, plan.circuit,
                    plan_byte_map(plan.input_words, plan.n), plan.n,
-                   faults, drop=drop)
-        with span("shard.scatter", axis="pattern", windows=len(bounds),
-                  processes=processes):
-            parts = self._scatter(_fault_task, job,
-                                  [((0, len(faults)), window)
-                                   for window in bounds])
-        with span("shard.merge", axis="pattern", windows=len(bounds)):
-            return self._merge_pattern_axis(faults, bounds, parts)
-
-    @staticmethod
-    def _merge_pattern_axis(faults: "Sequence[Fault]",
-                            bounds: Sequence[tuple[int, int]],
-                            parts: "Sequence[FaultSimResult]"
-                            ) -> FaultSimResult:
-        """OR window detection words back into full-set words.
-
-        Every (fault, pattern) detection bit is computed independently,
-        so the word of window ``[start, stop)`` is exactly bits
-        ``start..stop-1`` of the full word; the merge shifts and ORs.
-        ``detected``/``remaining`` are rebuilt in fault-input order —
-        identical to the single-pass reference.
-        """
-        from repro.atpg.faultsim import FaultSimResult
-        merged: dict[Fault, int] = {}
-        for (start, _stop), part in zip(bounds, parts):
-            for fault, word in part.detected.items():
-                merged[fault] = merged.get(fault, 0) | (word << start)
-        detected: dict[Fault, int] = {}
-        remaining: list[Fault] = []
-        for fault in faults:
-            word = merged.get(fault, 0)
-            if word:
-                detected[fault] = word
-            else:
-                remaining.append(fault)
-        return FaultSimResult(detected=detected, remaining=remaining)
+                   plan.faults, drop=drop, budget=budget, state=state)
+        with span("shard.scatter", axis=axis, tasks=len(tasks)):
+            parts = self._scatter(_fault_task, job, tasks)
+        with span("shard.merge", axis=axis, tasks=len(tasks)):
+            if axis == "pattern":
+                return merge_fault_windows(
+                    plan.faults,
+                    [(start, part) for (_faults, (start, _stop)), part
+                     in zip(tasks, parts)])
+            return self._merge(parts)
 
     @staticmethod
     def _merge(parts: "Sequence[FaultSimResult]") -> "FaultSimResult":
-        """Stable merge: shard order == input order."""
+        """Fault-axis merge: shard order is fault order, so the shards'
+        results concatenate (no per-fault rehashing)."""
         from repro.atpg.faultsim import FaultSimResult
         detected: dict[Fault, int] = {}
         remaining: list[Fault] = []

@@ -5,12 +5,10 @@ into one matrix; this module does the same for fault
 detection — the dominant cost of ATPG and of every Table-I run.  The
 scan-power literature evaluates fault coverage over the *entire* applied
 test set, which is exactly the fault x pattern detection matrix, so
-instead of driving many independent
-:func:`~repro.atpg.faultsim.fault_simulate` calls (each re-simulating
-the good machine, re-chunking cones and re-dispatching shards) the whole
-fault universe and the whole pattern set are packed into **one**
-:class:`FaultEpisodePlan` and handed to
-:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`:
+the whole fault universe and the whole pattern set are packed into
+**one** :class:`FaultEpisodePlan` and handed to
+:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan` —
+the only fault-simulation method of the backend protocol:
 
 * ``bigint`` replays the plan with the scalar cone-replay reference on
   the plan's memoized good-machine words (the pinned semantics);
@@ -24,18 +22,19 @@ fault universe and the whole pattern set are packed into **one**
   matrices, with an integer-exact OR-merge of detection words
   (:mod:`~repro.simulation.backends.sharded`).
 
-A :class:`FaultSimSession` carries the plan machinery, the good-machine
-state cache and the shared fanout-cone cache across the many batches of
-one ATPG run (or one campaign circuit), so incremental fault dropping
-never recomputes shared state.
+Every caller compiles a plan: the public
+:func:`~repro.atpg.faultsim.fault_simulate` a one-shot plan per call;
+a :class:`FaultSimSession` one plan per call wired to the plan
+machinery, the good-machine state cache and the shared fanout-cone
+cache it carries across the many batches of one ATPG run (or one
+campaign circuit), so incremental fault dropping never recomputes
+shared state.  Streamed windows and sharded slices are plans too.
 
-Every session call compiles a plan.  Everything is bit-identical to the
-per-batch
-:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
-reference: detection words, ``remaining`` ordering, coverage statistics
-and compacted test sets never depend on the engine, the tile geometry
-or the shard count.  The differential property tests in
-``tests/properties`` pin this against a per-batch session double.
+Detection words, ``remaining`` ordering, coverage statistics and
+compacted test sets never depend on the engine, the tile geometry or
+the shard count.  The differential property tests in
+``tests/properties`` pin this against the scalar reference and a
+per-batch session double.
 """
 
 from __future__ import annotations
@@ -82,7 +81,8 @@ class FaultEpisodePlan:
     backend, so every engine — and every tile and shard within one
     engine — reuses one settled state instead of re-simulating per
     call.  Plans are never pickled: sharded dispatch ships raw
-    components (or inherits the plan copy-on-write on the fork path).
+    components (or inherits them copy-on-write on the fork path) and
+    each worker compiles its own slice plan.
     """
 
     def __init__(self, circuit: Circuit, faults: "Sequence[Fault]",
@@ -235,8 +235,8 @@ class FaultSimSession:
 
         Same contract as :func:`repro.atpg.faultsim.fault_simulate`
         (detection words record all detecting patterns; ``remaining``
-        is the undetected faults in input order), bit-identical to the
-        per-batch ``fault_simulate_batch`` reference.
+        is the undetected faults in input order), bit-identical to one
+        ``fault_simulate`` call per batch.
         """
         plan = self.compile(faults, input_words, n)
         # The budget was resolved once at construction; 0 pins it off so

@@ -46,13 +46,14 @@ from __future__ import annotations
 import mmap
 import os
 import tempfile
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.cells.library import CellLibrary
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.obs.trace import span
+from repro.simulation.fault_episode import FaultEpisodePlan
 from repro.simulation.values import mask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -62,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faultsim import FaultSimResult
     from repro.simulation.backends import Backend
     from repro.simulation.episode import EpisodeBatchResult, EpisodePlan
-    from repro.simulation.fault_episode import FaultEpisodePlan
 
 __all__ = [
     "DEFAULT_STREAM_BUDGET_ENV",
@@ -71,14 +71,15 @@ __all__ = [
     "episode_stream_windows",
     "episode_window_ingredients",
     "fault_stream_windows",
+    "merge_fault_windows",
     "resolve_stream_budget",
     "shard_bounds",
     "state_elements",
     "stream_episode_batch",
     "stream_episode_ingredients",
     "stream_fault_plan",
-    "stream_fault_words",
     "window_word",
+    "word_windows",
 ]
 
 #: Environment variable supplying the default stream budget (``uint64``
@@ -248,11 +249,8 @@ def episode_stream_windows(plan: "EpisodePlan",
     return shard_bounds(plan.n_cycles, min(needed, plan.n_cycles))
 
 
-def fault_stream_windows(plan_or_n: "FaultEpisodePlan | int",
-                         budget: int, *,
-                         circuit: Circuit | None = None,
-                         n_stimulus_lines: int | None = None
-                         ) -> list[tuple[int, int]]:
+def fault_stream_windows(plan: "FaultEpisodePlan",
+                         budget: int) -> list[tuple[int, int]]:
     """Word-aligned pattern windows of a fault plan under ``budget``.
 
     Windows are contiguous ``uint64``-word ranges of the pattern axis
@@ -260,18 +258,16 @@ def fault_stream_windows(plan_or_n: "FaultEpisodePlan | int",
     backend's pattern-axis shards, so each window's detection words are
     column slices of the full matrix and OR back bit-identically.
     """
-    if isinstance(plan_or_n, int):
-        n = plan_or_n
-        assert circuit is not None and n_stimulus_lines is not None
-        elements = state_elements(n_stimulus_lines, circuit, n)
-    else:
-        n = plan_or_n.n
-        elements = plan_or_n.state_elements()
-    n_words = (n + 63) // 64
-    needed = -(elements // -budget)
+    needed = -(plan.state_elements() // -budget)
     if needed <= 1:
-        return [(0, n)]
-    word_bounds = shard_bounds(n_words, min(needed, n_words))
+        return [(0, plan.n)]
+    return word_windows(plan.n, min(needed, plan.n_words))
+
+
+def word_windows(n: int, n_windows: int) -> list[tuple[int, int]]:
+    """``n_windows`` near-even, word-aligned ``[start, stop)`` pattern
+    windows of ``n`` patterns (the last absorbs the tail bits)."""
+    word_bounds = shard_bounds((n + 63) // 64, n_windows)
     return [(w0 * 64, min(n, w1 * 64)) for w0, w1 in word_bounds]
 
 
@@ -455,53 +451,56 @@ def stream_episode_batch(backend: "Backend", plan: "EpisodePlan",
     return acc.finish(plan, library, collect_leakage)
 
 
-def stream_fault_words(backend: "Backend", circuit: Circuit,
-                       faults: "Sequence[Fault]", store: PlanByteStore,
-                       n: int, budget: int) -> "FaultSimResult":
-    """Streamed fault detection over word-aligned pattern windows.
+def merge_fault_windows(faults: "Sequence[Fault]",
+                        windows: "Iterable[tuple[int, FaultSimResult]]"
+                        ) -> "FaultSimResult":
+    """OR pattern-window detection words back into full-set words.
 
-    Each window is one drop-free batched fault simulation on
-    ``backend`` (within a single call dropping cannot change detection
-    words, so drop-free windows reconstruct both drop modes' results);
-    window words are OR-shifted into running big-int detection words,
-    so the full detection matrix never exists and the fault-free state
-    is only ever as wide as one window.  ``detected``/``remaining``
-    are rebuilt in fault input order — identical to the resident pass.
+    ``windows`` yields ``(start, result)`` per word-aligned pattern
+    window.  Every (fault, pattern) detection bit is computed
+    independently, so the word of the window starting at ``start`` is
+    exactly bits ``start..`` of the full word: the fold shifts and ORs,
+    one window at a time (a lazy iterable keeps one window's result
+    alive).  ``detected``/``remaining`` follow ``faults``' order —
+    identical to the single-pass result.  Shared by the streamed fold
+    and the sharded pattern-axis merge.
     """
     from repro.atpg.faultsim import FaultSimResult
-    n_stimulus = len(store.window(0, 1))
-    bounds = fault_stream_windows(n, budget, circuit=circuit,
-                                  n_stimulus_lines=n_stimulus)
     merged: dict[Fault, int] = {}
-    with span("stream.fault", backend=backend.name,
-              windows=len(bounds), patterns=n):
-        for start, stop in bounds:
-            words = store.window(start, stop)
-            with span("stream.window", start=start, stop=stop):
-                part = backend.fault_window_result(circuit, faults, words,
-                                                   stop - start,
-                                                   element_budget=budget)
-            for fault, word in part.detected.items():
-                merged[fault] = merged.get(fault, 0) | (word << start)
-    detected: dict[Fault, int] = {}
-    remaining: list[Fault] = []
-    for fault in faults:
-        word = merged.get(fault, 0)
-        if word:
-            detected[fault] = word
-        else:
-            remaining.append(fault)
-    return FaultSimResult(detected=detected, remaining=remaining)
+    for start, part in windows:
+        for fault, word in part.detected.items():
+            merged[fault] = merged.get(fault, 0) | (word << start)
+    return FaultSimResult.from_words(faults, merged)
 
 
 def stream_fault_plan(backend: "Backend", plan: "FaultEpisodePlan",
                       budget: int) -> "FaultSimResult":
     """Streamed evaluation of a fault x pattern plan under ``budget``.
 
-    The plan's memoized good state is deliberately bypassed — it *is*
-    the resident matrix streaming avoids; each pattern window
-    re-simulates the fault-free machine over its own cycles only.
+    Each word-aligned pattern window becomes its own
+    :class:`~repro.simulation.fault_episode.FaultEpisodePlan` over the
+    window's stimulus (sliced from a :class:`PlanByteStore`), sharing
+    the parent plan's cone cache, and runs through the engine's resident
+    replay hook with its tiling capped at ``budget``.  The parent plan's
+    memoized good state is deliberately bypassed — it *is* the resident
+    matrix streaming avoids; each window settles the fault-free machine
+    over its own patterns only.  Drop-free by construction: within one
+    call dropping cannot change detection words, so the OR-fold
+    reconstructs both drop modes' results exactly.
     """
     store = PlanByteStore(plan.input_words, plan.n)
-    return stream_fault_words(backend, plan.circuit, plan.faults, store,
-                              plan.n, budget)
+    bounds = fault_stream_windows(plan, budget)
+
+    def windows() -> "Iterator[tuple[int, FaultSimResult]]":
+        for start, stop in bounds:
+            window = FaultEpisodePlan(plan.circuit, plan.faults,
+                                      store.window(start, stop),
+                                      stop - start,
+                                      cone_cache=plan.cone_cache)
+            with span("stream.window", start=start, stop=stop):
+                part = backend._replay(window, element_budget=budget)
+            yield start, part
+
+    with span("stream.fault", backend=backend.name,
+              windows=len(bounds), patterns=plan.n):
+        return merge_fault_windows(plan.faults, windows())

@@ -6,8 +6,17 @@ from repro.atpg.faults import Fault, all_faults, observable_lines
 from repro.atpg.faultsim import detect_word, fault_simulate
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.simulation.bitsim import pack_input_vectors, simulate_packed
+from repro.runtime import using
+from repro.simulation.backends import available_backends
+from repro.simulation.bitsim import (
+    pack_input_vectors,
+    random_input_words,
+    simulate_packed,
+)
 from repro.simulation.eval2 import comb_input_lines, simulate_comb
+from repro.utils.rng import make_rng
+
+ENGINES = sorted(available_backends())
 
 
 def two_gate() -> Circuit:
@@ -133,6 +142,56 @@ class TestFaultSimulate:
         baseline = fault_simulate(s27, universe, words, n)
         assert result.detected == baseline.detected
         assert result.remaining == baseline.remaining
+
+
+class TestFaultSimulateEdgeCases:
+    """Pinned on every registered engine."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_zero_patterns_leave_every_fault_remaining(self, s27, engine):
+        universe = all_faults(s27)
+        words = {line: 0 for line in comb_input_lines(s27)}
+        result = fault_simulate(s27, universe, words, 0, backend=engine)
+        assert result.detected == {}
+        assert result.remaining == universe
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_empty_fault_list(self, s27, engine, drop):
+        words = random_input_words(s27, 70, make_rng(0))
+        result = fault_simulate(s27, [], words, 70, drop=drop,
+                                backend=engine)
+        assert result.detected == {}
+        assert result.remaining == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_session_stream_budget_is_bit_identical(self, s27, engine,
+                                                    drop, monkeypatch):
+        """``fault_simulate`` honours a session stream budget, and the
+        streamed windows reproduce resident ``bigint`` bit for bit."""
+        import repro.simulation.streaming as streaming_mod
+        universe = all_faults(s27)
+        n = 200  # four pattern words, ragged tail
+        words = random_input_words(s27, n, make_rng(4))
+        with using(stream_budget=0):
+            resident = fault_simulate(s27, universe, words, n, drop=drop,
+                                      backend="bigint")
+        calls = []
+        real = streaming_mod.stream_fault_plan
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(streaming_mod, "stream_fault_plan", spy)
+        with using(stream_budget=1):
+            streamed = fault_simulate(s27, universe, words, n, drop=drop,
+                                      backend=engine)
+        assert calls, "streaming never engaged under the session budget"
+        assert streamed.detected == resident.detected
+        assert list(streamed.detected) == list(resident.detected)
+        assert streamed.remaining == resident.remaining
 
 
 def _simulate_with_fault(circuit, inputs, fault):

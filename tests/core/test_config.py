@@ -48,6 +48,22 @@ class TestFlowConfig:
         config = FlowConfig(backend="bigint", fault_backend="bigint")
         assert config.fault_simulation_backend() == "bigint"
 
+    def test_session_fault_backend_outranks_env(self, monkeypatch):
+        from repro.runtime import using
+        from repro.simulation.backends import resolve_fault_backend
+        monkeypatch.setenv("REPRO_FAULT_BACKEND", "sharded")
+        with using(fault_backend="bigint"):
+            assert FlowConfig().fault_simulation_backend() == "bigint"
+            assert resolve_fault_backend(None).name == "bigint"
+
+    def test_session_fault_backend_outranks_plain_backend(self,
+                                                          monkeypatch):
+        from repro.runtime import using
+        monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
+        with using(fault_backend="sharded"):
+            config = FlowConfig(backend="numpy")
+            assert config.fault_simulation_backend() == "sharded"
+
     def test_shards_imply_sharded_backend(self):
         from repro.simulation.backends import ShardedBackend
         spec = FlowConfig(shards=3).fault_simulation_backend()

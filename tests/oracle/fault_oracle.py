@@ -7,8 +7,9 @@ It picks compaction vectors with the vectorized reverse greedy pass and
 reads final coverage off the compaction matrix.  This module keeps the
 per-batch reference of each of those three steps:
 
-* :class:`PerBatchSession` — a session double whose every call is one
-  :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`;
+* :class:`PerBatchSession` — a session double whose every call settles
+  the good machine afresh and replays it with the scalar
+  :func:`~repro.atpg.faultsim.scalar_replay`;
 * :func:`greedy_keep_bigint` — the reverse greedy keep-set as plain
   big-int column scans;
 * :func:`reference_generate_tests` — the generation pipeline on those
@@ -27,7 +28,7 @@ from unittest import mock
 import repro.atpg.generate as generate
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import Fault, all_faults
-from repro.atpg.faultsim import FaultSimResult
+from repro.atpg.faultsim import FaultSimResult, scalar_replay
 from repro.atpg.generate import AtpgConfig, TestSet
 from repro.netlist.circuit import Circuit
 from repro.scan.testview import ScanDesign
@@ -36,11 +37,14 @@ from repro.simulation.bitsim import pack_input_vectors
 
 
 class PerBatchSession:
-    """``FaultSimSession`` double: one ``fault_simulate_batch`` per call.
+    """``FaultSimSession`` double: one scalar replay per call.
 
     No plan, no good-machine pool: every call re-simulates the fault-free
-    machine and replays the faults on ``backend``.  The fanout-cone cache
-    is shared across calls, as the scalar path expects.
+    machine on ``backend`` and replays the faults with the scalar cone
+    replay, so the oracle never runs the engine's fault kernel.  The
+    fanout-cone cache is shared across calls, as the scalar path
+    expects.  ``drop`` cannot change one call's result, so it is
+    ignored.
     """
 
     def __init__(self, circuit: Circuit,
@@ -52,9 +56,9 @@ class PerBatchSession:
     def simulate(self, faults: Sequence[Fault],
                  input_words: Mapping[str, int], n: int,
                  drop: bool = True) -> FaultSimResult:
-        return self.engine.fault_simulate_batch(
-            self.circuit, faults, input_words, n, drop=drop,
-            cone_cache=self.cone_cache)
+        good = self.engine.simulate_packed(self.circuit, input_words, n)
+        return scalar_replay(self.circuit, faults, good, n,
+                             cone_cache=self.cone_cache)
 
 
 def greedy_keep_bigint(matrix: FaultSimResult,

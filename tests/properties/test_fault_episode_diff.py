@@ -13,7 +13,7 @@ the planned ATPG pipeline must equal the per-batch oracle's
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.faults import all_faults
-from repro.atpg.faultsim import fault_simulate, scalar_fault_simulate
+from repro.atpg.faultsim import fault_simulate, scalar_replay
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.netlist.circuit import Circuit
@@ -57,9 +57,9 @@ class TestPlanEqualsScalarReference:
         circuit = _random_circuit(seed, mapped=mapped)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = scalar_fault_simulate(
-            get_backend("bigint"), circuit, faults, words, n_patterns,
-            drop=drop)
+        good = get_backend("bigint").simulate_packed(circuit, words,
+                                                     n_patterns)
+        reference = scalar_replay(circuit, faults, good, n_patterns)
         for name in BACKENDS:
             plan = compile_fault_episode_plan(circuit, faults, words,
                                               n_patterns)

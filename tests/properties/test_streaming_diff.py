@@ -189,8 +189,10 @@ class TestWindowPlans:
         assert len(bounds) == plan.n_cycles  # budget 1: maximal split
 
     def test_fault_windows_are_word_aligned(self):
-        bounds = fault_stream_windows(200, 1, circuit=_random_circuit(0),
-                                      n_stimulus_lines=9)
+        circuit = _random_circuit(0)
+        words = random_input_words(circuit, 200, make_rng(0))
+        plan = compile_fault_episode_plan(circuit, (), words, 200)
+        bounds = fault_stream_windows(plan, 1)
         assert bounds[0][0] == 0 and bounds[-1][1] == 200
         for start, stop in bounds[:-1]:
             assert start % 64 == 0 and stop % 64 == 0

@@ -225,14 +225,14 @@ class TestMockedNamespaceKernels:
                     reference.eval_gate_packed(gtype, inputs, n), \
                     (gtype, arity)
 
-    def test_fault_simulate_batch(self, mock_backend, mapped, stimulus):
+    def test_fault_simulate(self, mock_backend, mapped, stimulus):
         words, n = stimulus
         faults = all_faults(mapped)
         reference = fault_simulate(mapped, faults, words, n,
                                    backend="bigint")
         for drop in (True, False):
-            got = mock_backend.fault_simulate_batch(mapped, faults, words,
-                                                    n, drop=drop)
+            got = fault_simulate(mapped, faults, words, n, drop=drop,
+                                 backend=mock_backend)
             assert got.detected == reference.detected, drop
             assert list(got.detected) == list(reference.detected), drop
             assert got.remaining == reference.remaining, drop
@@ -250,7 +250,7 @@ class TestMockedNamespaceKernels:
 
     def test_fault_plan_streams_under_budget(self, mock_backend, mapped,
                                              stimulus):
-        """A tiny stream budget exercises fault_window_result windows on
+        """A tiny stream budget exercises the streamed replay windows on
         the device double (streamed composition)."""
         words, n = stimulus
         faults = all_faults(mapped)
@@ -293,9 +293,7 @@ class TestMockedNamespaceKernels:
         plan = cached_fault_plan(mapped)
         for budget in (1, plan.n_rows * _MIN_BATCH_FAULTS * 2):
             got = fault_simulate_matrix(state, faults,
-                                        element_budget=budget,
-                                        xp=state.namespace,
-                                        matrix=state.device_matrix)
+                                        element_budget=budget)
             assert got.detected == reference.detected, budget
             assert got.remaining == reference.remaining, budget
 

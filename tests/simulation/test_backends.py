@@ -40,6 +40,16 @@ ARITIES = {
 
 N_PATTERNS = 77  # deliberately not a multiple of 64
 
+#: The public methods of the ``Backend`` protocol.  Fault simulation has
+#: exactly one entry point; growing the surface is a design decision.
+BACKEND_PUBLIC_METHODS = {
+    "eval_gate_packed",
+    "fault_simulate_plan",
+    "run",
+    "simulate_episode_batch",
+    "simulate_packed",
+}
+
 BACKEND_NAMES = sorted(available_backends())
 
 
@@ -206,3 +216,19 @@ class TestSimulatePackedDispatch:
     def test_isinstance_backend_protocol(self):
         for name in BACKEND_NAMES:
             assert isinstance(get_backend(name), Backend)
+
+
+class TestProtocolSurface:
+    def test_public_method_names_are_pinned(self):
+        names = {name for name in dir(Backend)
+                 if not name.startswith("_")
+                 and callable(getattr(Backend, name))}
+        assert names == BACKEND_PUBLIC_METHODS
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_one_fault_method_per_engine(self, backend_name):
+        engine = get_backend(backend_name)
+        names = [name for name in dir(engine)
+                 if "fault" in name and not name.startswith("_")
+                 and callable(getattr(engine, name))]
+        assert names == ["fault_simulate_plan"]

@@ -22,6 +22,7 @@ from repro.simulation.fault_episode import (
     FaultSimSession,
     compile_fault_episode_plan,
 )
+from repro.simulation.streaming import merge_fault_windows
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
 
@@ -237,7 +238,8 @@ class TestShardedPlanAxes:
                 assert got.remaining == reference.remaining, drop
 
     def test_merge_pattern_axis_pure(self):
-        """The window merge is pure integer arithmetic on word offsets."""
+        """The pattern-axis merge (shared with the streamed fold) is
+        pure integer arithmetic on word offsets."""
         from repro.atpg.faults import Fault
         from repro.atpg.faultsim import FaultSimResult
         f1, f2, f3 = Fault("a", 0), Fault("a", 1), Fault("b", 0)
@@ -245,8 +247,8 @@ class TestShardedPlanAxes:
             FaultSimResult(detected={f1: 0b01}, remaining=[f2, f3]),
             FaultSimResult(detected={f2: 0b10}, remaining=[f1, f3]),
         ]
-        merged = ShardedBackend._merge_pattern_axis(
-            [f1, f2, f3], [(0, 64), (64, 128)], parts)
+        merged = merge_fault_windows([f1, f2, f3],
+                                     zip([0, 64], parts))
         assert merged.detected == {f1: 0b01, f2: 0b10 << 64}
         assert list(merged.detected) == [f1, f2]
         assert merged.remaining == [f3]

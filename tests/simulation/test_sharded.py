@@ -126,7 +126,8 @@ class TestDelegation:
         backend = ShardedBackend(shards=4, min_faults_per_shard=10_000)
         faults = all_faults(s27_mapped)
         words = random_input_words(s27_mapped, 64, make_rng(1))
-        got = backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+        got = fault_simulate(s27_mapped, faults, words, 64,
+                             backend=backend)
         ref = fault_simulate(s27_mapped, faults, words, 64,
                              backend="bigint")
         assert got.detected == ref.detected
@@ -253,8 +254,8 @@ class TestDispatch:
         faults, words = _fault_job(s27_mapped)
         backend = ShardedBackend(shards=2, min_faults_per_shard=4,
                                  pool=pool)
-        result = backend.fault_simulate_batch(s27_mapped, faults,
-                                              words, 64)
+        result = fault_simulate(s27_mapped, faults, words, 64,
+                                backend=backend)
         assert result.n_detected > 0
         assert pools == []
 
@@ -264,8 +265,8 @@ class TestDispatch:
                              backend="numpy")
         backend = ShardedBackend(shards=2, min_faults_per_shard=4)
         for call in range(2):
-            got = backend.fault_simulate_batch(s27_mapped, faults,
-                                               words, 64)
+            got = fault_simulate(s27_mapped, faults, words, 64,
+                                 backend=backend)
             assert got.detected == ref.detected
             assert got.remaining == ref.remaining
             transient = pools[3 * call][0]
@@ -302,7 +303,8 @@ class TestDispatch:
         ref = fault_simulate(s27_mapped, faults, words, 64,
                              backend="numpy")
         backend = ShardedBackend(shards=2, min_faults_per_shard=4)
-        got = backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+        got = fault_simulate(s27_mapped, faults, words, 64,
+                             backend=backend)
         assert got.detected == ref.detected
         assert got.remaining == ref.remaining
 
@@ -312,12 +314,14 @@ class TestDispatch:
         before = set(pool_mod._LIVE_POOLS)
         faults, words = _fault_job(s27_mapped)
         backend = ShardedBackend(shards=2, min_faults_per_shard=4)
-        backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+        fault_simulate(s27_mapped, faults, words, 64,
+                       backend=backend)
         assert pool_mod._LIVE_POOLS == before
         monkeypatch.setattr(sharded_mod, "_fault_task", _failing_task)
         with pytest.raises(pool_mod.WorkerPoolError,
                            match="shard task failed"):
-            backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+            fault_simulate(s27_mapped, faults, words, 64,
+                           backend=backend)
         assert pool_mod._LIVE_POOLS == before
 
     def test_transient_pool_survives_worker_kills(self, s27_mapped):
