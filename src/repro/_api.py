@@ -113,7 +113,6 @@ from repro.simulation import (
     EpisodePlan,
     FaultEpisodePlan,
     FaultSimSession,
-    SequentialSimulator,
     SimState,
     available_backends,
     compile_episode_plan,
@@ -149,7 +148,7 @@ __all__ = [
     "technology_map", "equivalence_check",
     "LibraryDelay", "UnitDelay", "run_sta", "critical_path",
     "simulate_comb", "simulate_comb3", "simulate_packed",
-    "simulate_cycles", "SequentialSimulator",
+    "simulate_cycles",
     # simulation backends
     "Backend", "SimState", "available_backends", "get_backend",
     "register_backend", "resolve_backend", "set_default_backend",

@@ -30,7 +30,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.atpg.faults import Fault, observable_lines
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import Backend, resolve_fault_backend
+from repro.simulation.backends import Backend, resolve_backend
 from repro.simulation.bitsim import eval_gate_packed
 from repro.simulation.fault_episode import FaultEpisodePlan
 from repro.simulation.values import mask
@@ -169,7 +169,7 @@ def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
 
     ``backend`` selects the fault-simulation engine (name, instance or
     ``None``); ``None`` resolves through
-    :func:`~repro.simulation.backends.resolve_fault_backend`.  The call
+    :func:`~repro.simulation.backends.resolve_backend`.  The call
     is one :class:`~repro.simulation.fault_episode.FaultEpisodePlan`
     on that engine and, like a
     :class:`~repro.simulation.fault_episode.FaultSimSession`, streams
@@ -177,7 +177,7 @@ def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
     exceeds it.  Detection words and ``remaining`` ordering are
     bit-identical across all engines.
     """
-    engine = resolve_fault_backend(backend)
+    engine = resolve_backend(backend)
     if n == 0:
         return FaultSimResult(detected={}, remaining=list(faults))
     plan = FaultEpisodePlan(circuit, faults, input_words, n,

@@ -30,7 +30,7 @@ from repro.atpg.faults import Fault, all_faults
 from repro.atpg.faultsim import FaultSimResult
 from repro.atpg.podem import PodemEngine, generate_test
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import Backend
+from repro.simulation.backends import Backend, ShardedBackend, resolve_backend
 from repro.simulation.bitsim import pack_input_vectors, random_input_words
 from repro.simulation.eval2 import comb_input_lines
 from repro.simulation.fault_episode import FaultSimSession
@@ -106,15 +106,13 @@ def _vector_to_assignment(design: ScanDesign,
 def generate_tests(design: ScanDesign,
                    config: AtpgConfig | None = None,
                    backend: str | Backend | None = None,
-                   fault_backend: str | Backend | None = None,
                    stream_budget: int | None = None) -> TestSet:
     """Generate a compacted stuck-at test set for a full-scan design.
 
-    ``backend`` selects the packed-simulation engine for every fault
-    simulation; ``fault_backend`` overrides it for the fault simulations
-    specifically (e.g. the ``sharded`` meta-backend for large collapsed
-    universes) and defaults to ``backend``.  Results are bit-identical
-    across backends, so the generated test set never depends on either.
+    ``backend`` selects the engine for every fault simulation (e.g. the
+    ``sharded`` meta-backend for large collapsed universes; ``None`` =
+    session default).  Results are bit-identical across backends, so
+    the generated test set never depends on it.
 
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
@@ -124,7 +122,7 @@ def generate_tests(design: ScanDesign,
     ``$REPRO_STREAM_BUDGET``, ``0`` off); streaming is bit-identical, so
     the test set never depends on it.
 
-    When the resolved fault engine is a sharding meta-backend that
+    When the resolved engine is a sharding meta-backend that
     would actually split this circuit's collapsed universe, the inner
     fault-simulation loop runs against the process-wide shared worker
     pool (:func:`repro.campaign.pool.ensure_shared_pool`) by default:
@@ -134,12 +132,7 @@ def generate_tests(design: ScanDesign,
     honoured as-is.
     """
     config = config or AtpgConfig()
-    from repro.simulation.backends import (
-        ShardedBackend,
-        resolve_fault_backend,
-    )
-    engine = resolve_fault_backend(
-        fault_backend if fault_backend is not None else backend)
+    engine = resolve_backend(backend)
     circuit = design.circuit
     universe = collapse_faults(circuit, all_faults(circuit))
     pool_ctx: contextlib.AbstractContextManager = contextlib.nullcontext()

@@ -39,7 +39,6 @@ All public interfaces speak line names.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
 
 from repro.atpg.faults import Fault, observable_lines
 from repro.atpg.scoap import compute_scoap
@@ -532,17 +531,3 @@ def generate_test(circuit: Circuit, fault: Fault,
                 break
         else:
             return result("untestable")
-
-
-def fill_dont_cares(circuit: Circuit, assignment: Mapping[str, int],
-                    fill_value_fn) -> dict[str, int]:
-    """Complete a partial PODEM assignment over all controllable inputs.
-
-    ``fill_value_fn(line)`` supplies the value for unassigned lines
-    (random fill, zero fill, or the repeat-last-vector fill ATOM uses).
-    """
-    values = dict(assignment)
-    for line in comb_input_lines(circuit):
-        if line not in values:
-            values[line] = fill_value_fn(line)
-    return values

@@ -5,7 +5,7 @@ the experiment harnesses (:mod:`repro.experiments`):
 
 * :mod:`repro.campaign.pool` — a persistent, non-daemonic worker pool,
   pre-warmed once and shared by campaign jobs and the ``sharded``
-  fault backend (``ShardedBackend(pool=...)``);
+  backend (``ShardedBackend(pool=...)``);
 * :mod:`repro.campaign.cache` — a content-addressed on-disk artefact
   cache keyed by (circuit fingerprint, canonical config hash, code
   fingerprint);

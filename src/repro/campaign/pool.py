@@ -502,7 +502,7 @@ def active_shared_pool() -> WorkerPool | None:
     """The shared pool if one is started *by this process*, else
     ``None``.
 
-    Never starts a pool: consumers (e.g. the sharded fault backend)
+    Never starts a pool: consumers (e.g. the sharded backend)
     only *opportunistically* reuse live workers someone else owns.
     The ownership check matters under fork: a pool worker inherits the
     parent's started pool object, and dispatching into it from the

@@ -59,17 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="master seed for all stochastic steps")
     parser.add_argument("--backend", choices=available_backends(),
                         default=None,
-                        help=("simulation backend for all packed "
-                              "simulations (results are bit-identical; "
+                        help=("backend for every packed and fault "
+                              "simulation (results are bit-identical; "
                               "default: $REPRO_SIM_BACKEND or bigint)"))
-    parser.add_argument("--fault-backend", choices=available_backends(),
-                        default=None,
-                        help=("backend for fault simulation specifically "
-                              "(bit-identical; default: $REPRO_FAULT_BACKEND, "
-                              "else --backend)"))
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help=("worker processes for the 'sharded' fault "
-                              "backend (implies --fault-backend sharded; "
+                        help=("worker processes for the 'sharded' "
+                              "backend (implies --backend sharded; "
                               "default: $REPRO_SIM_SHARDS or cpu count)"))
     parser.add_argument("--stream-budget", type=int, default=None,
                         metavar="N",
@@ -289,10 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     from repro.errors import ConfigError, SimulationError
     from repro.runtime import RuntimeOptions, set_session_defaults
-    from repro.simulation.backends import (
-        resolve_backend,
-        resolve_fault_backend,
-    )
+    from repro.simulation.backends import ShardedBackend, resolve_backend
     from repro.simulation.streaming import resolve_stream_budget
     if args.stream_budget is not None and args.stream_budget < 0:
         print("repro-power: error: --stream-budget must be >= 0",
@@ -301,17 +293,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.shards is not None and args.shards < 1:
         print("repro-power: error: --shards must be >= 1", file=sys.stderr)
         return 2
-    if args.shards is not None and args.fault_backend not in (None, "sharded"):
-        print("repro-power: error: --shards only applies to the 'sharded' "
-              "fault backend", file=sys.stderr)
-        return 2
     try:
         # One unified session install for every runtime knob — all
         # ``None`` fields defer to the environment/built-in defaults
         # (and a flagless invocation resets a leaked session).
         set_session_defaults(RuntimeOptions(
             backend=args.backend,
-            fault_backend=args.fault_backend,
             shards=args.shards,
             stream_budget=args.stream_budget,
             trace=args.trace,
@@ -319,9 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             chaos=args.chaos))
         # Fail fast on malformed environment defaults behind any knob
         # the flags left unset (flag values are argparse-validated).
-        resolve_backend(None)  # bad $REPRO_SIM_BACKEND
-        engine = resolve_fault_backend(None)  # bad $REPRO_FAULT_BACKEND
-        from repro.simulation.backends import ShardedBackend
+        engine = resolve_backend(None)  # bad $REPRO_SIM_BACKEND
         if isinstance(engine, ShardedBackend) and args.shards is None:
             engine.effective_shards(0)  # and on a bad $REPRO_SIM_SHARDS
         resolve_stream_budget(None)  # bad $REPRO_STREAM_BUDGET
@@ -373,7 +358,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "table1":
         config = FlowConfig(seed=args.seed, backend=args.backend,
-                            fault_backend=args.fault_backend,
                             shards=args.shards,
                             stream_budget=args.stream_budget,
                             array_namespace=args.array_namespace)
@@ -397,7 +381,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = FlowConfig(
             seed=args.seed,
             backend=args.backend,
-            fault_backend=args.fault_backend,
             shards=args.shards,
             stream_budget=args.stream_budget,
             array_namespace=args.array_namespace,
@@ -654,8 +637,6 @@ def _run_campaign_command(args) -> int:
     runtime_base = {}
     if args.backend is not None:
         runtime_base["backend"] = args.backend
-    if args.fault_backend is not None:
-        runtime_base["fault_backend"] = args.fault_backend
     if args.shards is not None:
         runtime_base["shards"] = args.shards
     if args.stream_budget is not None:

@@ -3,11 +3,12 @@
 :class:`FlowConfig` holds two kinds of field.  The paper's knobs
 (seeds, sample counts, backtrack budgets, the ablation switches) decide
 the results and feed :meth:`FlowConfig.config_hash`.  The runtime-only
-fields listed in :attr:`FlowConfig.RUNTIME_FIELDS` pick engines, shard
-counts, streaming, tracing and the array namespace; they never change a
-result, are left out of the hash, and are exactly the fields of
-:class:`repro.runtime.RuntimeOptions` minus the session-scoped
-``chaos``.
+fields listed in :attr:`FlowConfig.RUNTIME_FIELDS` pick the engine, its
+shard count, streaming, tracing and the array namespace; they never
+change a result, are left out of the hash, and are exactly the fields
+of :class:`repro.runtime.RuntimeOptions` minus the session-scoped
+``chaos``.  One engine serves every step of a flow:
+:meth:`FlowConfig.engine`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import ClassVar
 from repro.atpg.generate import AtpgConfig
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import ConfigError
+from repro.runtime import check_engine
 
 __all__ = ["FlowConfig"]
 
@@ -56,17 +58,15 @@ class FlowConfig:
         Test generation configuration (seed is derived from ``seed`` when
         left at the sentinel -1).
     backend:
-        Simulation backend name used by the flow's packed simulations
+        Backend name for every packed and fault simulation of the flow
         (``None`` = session default).  Numerically irrelevant — every
-        backend is bit-identical — so results never depend on it.
-    fault_backend:
-        Backend name for the flow's fault simulations specifically
-        (``None`` = same as ``backend``).  Like ``backend`` it only
-        affects speed; ``"sharded"`` fans the collapsed fault list out
-        over worker processes.
+        backend is bit-identical — so results never depend on it;
+        ``"sharded"`` fans fault lists and oversized replays out over
+        worker processes.
     shards:
-        Worker-process count for the ``sharded`` fault backend; setting
-        it implies ``fault_backend="sharded"`` when that is unset.
+        Worker-process count for the ``sharded`` backend; setting it
+        implies ``backend="sharded"`` when that is unset, and any other
+        ``backend`` is rejected.
     stream_budget:
         Out-of-core streaming budget for the flow's plan evaluations
         (``uint64`` elements of one window's state matrix): a positive
@@ -93,8 +93,7 @@ class FlowConfig:
     #: backend is bit-identical by contract); excluded from
     #: :meth:`config_hash` so cache keys are engine-independent.
     RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = (
-        "backend", "fault_backend", "shards", "stream_budget", "trace",
-        "array_namespace")
+        "backend", "shards", "stream_budget", "trace", "array_namespace")
 
     seed: int = 0
     observability_samples: int = 512
@@ -107,27 +106,13 @@ class FlowConfig:
     include_capture_cycles: bool = True
     atpg: AtpgConfig | None = None
     backend: str | None = None
-    fault_backend: str | None = None
     shards: int | None = None
     stream_budget: int | None = None
     trace: str | None = None
     array_namespace: str | None = None
 
     def __post_init__(self) -> None:
-        from repro.simulation.backends import available_backends
-        for which, name in (("simulation", self.backend),
-                            ("fault simulation", self.fault_backend)):
-            if name is not None and name not in available_backends():
-                raise ConfigError(
-                    f"unknown {which} backend {name!r}; "
-                    f"available: {', '.join(available_backends())}")
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ConfigError("shards must be >= 1")
-            if self.fault_backend not in (None, "sharded"):
-                raise ConfigError(
-                    "shards only applies to the 'sharded' fault backend, "
-                    f"not {self.fault_backend!r}")
+        check_engine(self.backend, self.shards)
         if self.stream_budget is not None and self.stream_budget < 0:
             raise ConfigError("stream_budget must be >= 0")
         if self.array_namespace is not None:
@@ -179,20 +164,19 @@ class FlowConfig:
             return self.atpg
         return AtpgConfig(seed=self.seed)
 
-    def fault_simulation_backend(self):
-        """The backend spec the flow's fault simulations should use.
+    def engine(self):
+        """The one backend spec every step of the flow runs on.
 
-        Resolved by :func:`repro.simulation.backends.fault_backend_spec`:
-        an explicit ``fault_backend``/``shards`` wins, else the session
-        fault backend, else ``$REPRO_FAULT_BACKEND``, else the plain
-        ``backend`` (``None`` = the plain session chain).  Returns a
-        fresh :class:`ShardedBackend` instance when a shard count is
-        pinned, so concurrent flows with different configs never fight
-        over the registry singleton.
+        A fresh :class:`~repro.simulation.backends.ShardedBackend` when
+        ``shards`` is pinned, so concurrent flows with different shard
+        counts never fight over the registry singleton; else
+        ``backend`` (``None`` = the session chain of
+        :func:`~repro.simulation.backends.resolve_backend`).
         """
-        from repro.simulation.backends import fault_backend_spec
-        return fault_backend_spec(self.fault_backend, self.shards,
-                                  self.backend)
+        if self.shards is not None:
+            from repro.simulation.backends import ShardedBackend
+            return ShardedBackend(shards=self.shards)
+        return self.backend
 
     def library(self) -> CellLibrary:
         """The cell library used throughout the flow."""

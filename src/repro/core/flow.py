@@ -131,12 +131,12 @@ class ProposedFlow:
     def _run_steps(self, circuit: Circuit) -> FlowResult:
         config = self.config
         library = config.library()
+        engine = config.engine()
 
         mapped = circuit if is_mapped(circuit) else technology_map(circuit)
         design = ScanDesign.full_scan(mapped)
         test_set = generate_tests(
-            design, config.atpg_config(), backend=config.backend,
-            fault_backend=config.fault_simulation_backend(),
+            design, config.atpg_config(), backend=engine,
             stream_budget=config.stream_budget)
 
         addmux = add_mux(mapped, library,
@@ -147,7 +147,7 @@ class ProposedFlow:
             observability = monte_carlo_observability(
                 mapped, config.observability_samples,
                 seed=derive_seed(config.seed, f"obs:{mapped.name}"),
-                library=library, backend=config.backend)
+                library=library, backend=engine)
 
         controlled = set(mapped.inputs) | set(addmux.muxable)
         sources = set(mapped.dff_outputs) - set(addmux.muxable)
@@ -163,7 +163,7 @@ class ProposedFlow:
             seed=derive_seed(config.seed, f"ivc:{mapped.name}"),
             library=library,
             noise_lines=sorted(sources), n_noise=config.ivc_noise_samples,
-            backend=config.backend)
+            backend=engine)
         control_values = {**pattern.assignment, **ivc.assignment}
 
         quiescent = simulate_comb3(mapped, control_values)
@@ -199,17 +199,17 @@ class ProposedFlow:
             "traditional": evaluate_scan_power(
                 design, test_set.vectors, policies["traditional"],
                 library, config.include_capture_cycles,
-                backend=config.backend,
+                backend=engine,
                 stream_budget=config.stream_budget),
             "input_control": evaluate_scan_power(
                 design, test_set.vectors, policies["input_control"],
                 library, config.include_capture_cycles,
-                backend=config.backend,
+                backend=engine,
                 stream_budget=config.stream_budget),
             "proposed": evaluate_scan_power(
                 proposed_design, test_set.vectors, policies["proposed"],
                 library, config.include_capture_cycles,
-                backend=config.backend,
+                backend=engine,
                 stream_budget=config.stream_budget),
         }
 

@@ -64,9 +64,9 @@ class Table1Run:
     #: this is the *historical* compute time of the run that produced
     #: the artefact.
     runtime_s: dict[str, float]
-    #: Engine record ("sim"/"fault" backend names) — results are
-    #: bit-identical across engines, this documents what produced the run.
-    backends: dict[str, str] = dataclasses.field(default_factory=dict)
+    #: Name of the engine every step ran on — results are bit-identical
+    #: across engines, this documents what produced the run.
+    engine: str = ""
     #: Monotonic wall-clock seconds of the whole experiment.
     wall_s: float = 0.0
     #: Aggregate compute seconds of the flows that actually executed
@@ -112,9 +112,8 @@ class Table1Run:
         lines.append("")
         lines.append("Provenance: " + ", ".join(
             f"{name}={src}" for name, src in self.provenance.items()))
-        if self.backends:
-            lines.append("Backends: " + ", ".join(
-                f"{kind}={name}" for kind, name in self.backends.items()))
+        if self.engine:
+            lines.append(f"Engine: {self.engine}")
         return "\n".join(lines)
 
     def timing_summary(self) -> str:
@@ -124,17 +123,9 @@ class Table1Run:
                 f"({speedup:.2f}x), {self.cache_hits} cached")
 
 
-def _record_backends(config: FlowConfig) -> dict[str, str]:
-    from repro.simulation.backends import (
-        default_backend_name,
-        default_fault_backend_name,
-    )
-    fault_spec = config.fault_simulation_backend()
-    return {
-        "sim": config.backend or default_backend_name(),
-        "fault": getattr(fault_spec, "name", None) or fault_spec or
-        default_fault_backend_name(),
-    }
+def _engine_name(config: FlowConfig) -> str:
+    from repro.simulation.backends import resolve_backend
+    return resolve_backend(config.engine()).name
 
 
 def run_table1(circuits: Sequence[str] | None = None,
@@ -152,11 +143,11 @@ def run_table1(circuits: Sequence[str] | None = None,
     circuits = list(circuits) if circuits is not None \
         else list(default_table1_circuits())
     config = config or FlowConfig(seed=1)
-    backends = _record_backends(config)
+    engine = _engine_name(config)
 
     if (jobs or 1) > 1 or cache_dir is not None:
         return _run_table1_campaign(circuits, config, verbose,
-                                    jobs or 1, cache_dir, backends)
+                                    jobs or 1, cache_dir, engine)
 
     flow = ProposedFlow(config)
     rows: list[Table1Row] = []
@@ -186,14 +177,14 @@ def run_table1(circuits: Sequence[str] | None = None,
                 print(f"  [{elapsed:.1f}s]", flush=True)
     return Table1Run(rows=rows, flow_results=results,
                      provenance=provenance, runtime_s=runtime,
-                     backends=backends, wall_s=wall_span.dur_s,
+                     engine=engine, wall_s=wall_span.dur_s,
                      worker_s=sum(runtime.values()))
 
 
 def _run_table1_campaign(circuits: list[str], config: FlowConfig,
                          verbose: bool, jobs: int,
                          cache_dir: str | None,
-                         backends: dict[str, str]) -> Table1Run:
+                         engine: str) -> Table1Run:
     """Campaign path: same rows, computed on the campaign runner."""
     from repro.campaign.cache import ResultCache
     from repro.campaign.manifest import CampaignJob, config_kwargs
@@ -213,7 +204,7 @@ def _run_table1_campaign(circuits: list[str], config: FlowConfig,
         flow_results={},
         provenance={a["circuit"]: a["provenance"] for a in artefacts},
         runtime_s={a["circuit"]: a["elapsed_s"] for a in artefacts},
-        backends=backends,
+        engine=engine,
         wall_s=wall_s,
         worker_s=worker_s,
         cache_hits=sum(1 for r in records if r.source == "cache"),

@@ -1,8 +1,8 @@
 """Unified runtime-options surface: one session-default store.
 
-Every engine knob — simulation backend, fault backend, shard count,
-streaming budget, trace directory, array namespace and the chaos spec —
-is *runtime-only*: it changes speed, peak memory or observability,
+Every engine knob — simulation backend, shard count, streaming budget,
+trace directory, array namespace and the chaos spec — is
+*runtime-only*: it changes speed, peak memory or observability,
 never results (all engines are bit-identical by contract), so none
 participates in :meth:`~repro.core.config.FlowConfig.config_hash`.
 
@@ -40,6 +40,24 @@ __all__ = [
 ]
 
 
+def check_engine(backend: str | None, shards: int | None) -> None:
+    """Validate a ``backend``/``shards`` pair (shared with
+    :class:`~repro.core.config.FlowConfig`)."""
+    if backend is not None:
+        from repro.simulation.backends import available_backends
+        if backend not in available_backends():
+            raise ConfigError(
+                f"unknown simulation backend {backend!r}; "
+                f"available: {', '.join(available_backends())}")
+    if shards is not None:
+        if shards < 1:
+            raise ConfigError("shards must be >= 1")
+        if backend not in (None, "sharded"):
+            raise ConfigError(
+                "shards only applies to the 'sharded' backend, "
+                f"not {backend!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class RuntimeOptions:
     """Session-level runtime knobs (speed/memory only, never results).
@@ -51,14 +69,13 @@ class RuntimeOptions:
     Attributes
     ----------
     backend:
-        Packed-simulation backend name (``$REPRO_SIM_BACKEND``,
-        built-in ``bigint``).
-    fault_backend:
-        Backend for fault simulation specifically
-        (``$REPRO_FAULT_BACKEND``, else the ``backend`` chain).
+        Backend name for every packed and fault simulation
+        (``$REPRO_SIM_BACKEND``, built-in ``bigint``).
     shards:
         Worker-process count for the ``sharded`` backend
-        (``$REPRO_SIM_SHARDS``, else CPU count).
+        (``$REPRO_SIM_SHARDS``, else CPU count).  It applies to that
+        engine only: with no ``backend`` it selects ``sharded``, and
+        any other ``backend`` is rejected.
     stream_budget:
         Out-of-core streaming budget in ``uint64`` elements
         (``$REPRO_STREAM_BUDGET``, default off; ``0`` pins off).
@@ -85,7 +102,6 @@ class RuntimeOptions:
     """
 
     backend: str | None = None
-    fault_backend: str | None = None
     shards: int | None = None
     stream_budget: int | None = None
     trace: str | None = None
@@ -98,21 +114,7 @@ class RuntimeOptions:
         # backends import stays conditional so the neutral all-``None``
         # record constructed at module import never recurses into the
         # backend registry.)
-        if self.backend is not None or self.fault_backend is not None:
-            from repro.simulation.backends import available_backends
-            for which, name in (("simulation", self.backend),
-                                ("fault simulation", self.fault_backend)):
-                if name is not None and name not in available_backends():
-                    raise ConfigError(
-                        f"unknown {which} backend {name!r}; "
-                        f"available: {', '.join(available_backends())}")
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ConfigError("shards must be >= 1")
-            if self.fault_backend not in (None, "sharded"):
-                raise ConfigError(
-                    "shards only applies to the 'sharded' fault "
-                    f"backend, not {self.fault_backend!r}")
+        check_engine(self.backend, self.shards)
         if self.stream_budget is not None and self.stream_budget < 0:
             raise ConfigError("stream_budget must be >= 0")
         if self.array_namespace is not None:

@@ -1,4 +1,4 @@
-"""Logic simulation: 2-valued, 3-valued, bit-parallel and event-driven."""
+"""Logic simulation: 2-valued, 3-valued and bit-parallel."""
 
 from repro.simulation.backends import (
     Backend,
@@ -28,15 +28,12 @@ from repro.simulation.fault_episode import (
     compile_fault_episode_plan,
 )
 from repro.simulation.eval3 import imply_from, simulate_comb3
-from repro.simulation.eventsim import EventSimulator
 from repro.simulation.schedule import (
     GateBatch,
     LevelizedSchedule,
     build_schedule,
     cached_schedule,
 )
-from repro.simulation.seqsim import SequentialSimulator
-from repro.simulation.vcd import render_vcd, write_vcd
 from repro.simulation.values import (
     bit_at,
     count_transitions,
@@ -64,10 +61,6 @@ __all__ = [
     "FaultEpisodePlan",
     "FaultSimSession",
     "compile_fault_episode_plan",
-    "EventSimulator",
-    "SequentialSimulator",
-    "render_vcd",
-    "write_vcd",
     "mask",
     "pack_bits",
     "unpack_bits",

@@ -25,26 +25,18 @@ kernel on the matrix engines).
 
 All backends produce bit-identical packed words, fault-detection words
 and IEEE-identical derived floats; the choice only affects speed.
-Selection, in precedence order:
+Every simulation, fault simulation included, resolves one engine, in
+precedence order:
 
 1. an explicit ``backend=`` argument (name or instance) on the public
    entry points (``simulate_packed``, ``simulate_cycles``,
-   ``fault_simulate``, ``evaluate_scan_power``, the observability
-   estimators, ...);
+   ``fault_simulate``, ``generate_tests``, ``evaluate_scan_power``,
+   the observability estimators, ...);
 2. a session default installed via :func:`set_default_backend` (the CLI's
-   ``--backend`` flag does this);
+   ``--backend`` flag does this); a session shard count with no session
+   backend selects ``sharded``;
 3. the ``REPRO_SIM_BACKEND`` environment variable;
 4. the built-in default, ``bigint``.
-
-Fault simulation resolves its own chain, in one place
-(:func:`fault_backend_spec`): an explicit fault-engine spec
-(``fault_simulate(backend=...)``, ``FlowConfig.fault_backend``/
-``.shards``, the CLI's ``--fault-backend``/``--shards``) wins; then the
-session fault backend (:attr:`repro.runtime.RuntimeOptions.
-fault_backend`); then ``REPRO_FAULT_BACKEND`` — a targeted knob so e.g.
-CI can force sharded fault simulation across a run regardless of how
-the plain backend was chosen; then a flow's plain
-``FlowConfig.backend``; then the session chain (2-4).
 
 Third-party engines register with :func:`register_backend` and become
 addressable by name everywhere.
@@ -72,21 +64,13 @@ __all__ = [
     "available_backends",
     "get_backend",
     "resolve_backend",
-    "resolve_fault_backend",
     "set_default_backend",
     "default_backend_name",
-    "default_fault_backend_name",
-    "fault_backend_spec",
     "DEFAULT_BACKEND_ENV",
-    "DEFAULT_FAULT_BACKEND_ENV",
 ]
 
 #: Environment variable consulted for the session default backend.
 DEFAULT_BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-#: Environment variable overriding the default backend for *fault
-#: simulation* only (falls back to the session default when unset).
-DEFAULT_FAULT_BACKEND_ENV = "REPRO_FAULT_BACKEND"
 
 _REGISTRY: dict[str, Backend] = {}
 
@@ -137,11 +121,17 @@ def set_default_backend(name: str | None) -> None:
 
 
 def default_backend_name() -> str:
-    """The session default: override, else environment, else ``bigint``."""
+    """The session default: override, else environment, else ``bigint``.
+
+    A session shard count without a session backend selects
+    ``sharded``, the only engine it applies to.
+    """
     from repro.runtime import session_defaults
-    override = session_defaults().backend
-    if override is not None:
-        return override
+    session = session_defaults()
+    if session.backend is not None:
+        return session.backend
+    if session.shards is not None:
+        return "sharded"
     return os.environ.get(DEFAULT_BACKEND_ENV, "") or "bigint"
 
 
@@ -152,58 +142,6 @@ def resolve_backend(backend: str | Backend | None) -> Backend:
     if isinstance(backend, Backend):
         return backend
     return get_backend(backend)
-
-
-def _session_fault_backend_name() -> str | None:
-    """The session fault backend, else ``$REPRO_FAULT_BACKEND``."""
-    from repro.runtime import session_defaults
-    return session_defaults().fault_backend or \
-        os.environ.get(DEFAULT_FAULT_BACKEND_ENV, "") or None
-
-
-def default_fault_backend_name() -> str:
-    """Default engine for fault simulation.
-
-    The session-level *fault* backend
-    (:attr:`repro.runtime.RuntimeOptions.fault_backend`) when
-    installed, else ``$REPRO_FAULT_BACKEND`` (a targeted override that
-    deliberately outranks the session *simulation* backend — see the
-    module docstring), else the plain session default chain.  Results
-    are bit-identical either way; only speed changes.
-    """
-    return _session_fault_backend_name() or default_backend_name()
-
-
-def fault_backend_spec(fault_backend: str | Backend | None = None,
-                       shards: int | None = None,
-                       backend: str | Backend | None = None
-                       ) -> str | Backend | None:
-    """The fault-engine spec of a flow, resolved in one place.
-
-    Precedence: an explicit ``fault_backend``/``shards`` (a shard count
-    implies ``sharded`` and yields a fresh :class:`ShardedBackend`, so
-    concurrent runs with different counts never share the registry
-    singleton), then the session fault backend, then
-    ``$REPRO_FAULT_BACKEND``, then the flow's plain ``backend``, then
-    ``None`` — which :func:`resolve_fault_backend` resolves through the
-    plain session chain.
-    """
-    name = fault_backend
-    if name is None and shards is not None:
-        name = "sharded"
-    if name == "sharded" and shards is not None:
-        return ShardedBackend(shards=shards)
-    if name is None:
-        name = _session_fault_backend_name()
-    return backend if name is None else name
-
-
-def resolve_fault_backend(backend: str | Backend | None) -> Backend:
-    """Like :func:`resolve_backend`, but ``None`` resolves through
-    :func:`default_fault_backend_name`."""
-    if backend is None:
-        return get_backend(default_fault_backend_name())
-    return resolve_backend(backend)
 
 
 register_backend(BigIntBackend())

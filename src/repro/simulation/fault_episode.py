@@ -180,7 +180,7 @@ class FaultSimSession:
         The circuit every call simulates (cone/plan caches key on it).
     backend:
         Fault-simulation engine (name, instance or ``None`` — resolved
-        through :func:`~repro.simulation.backends.resolve_fault_backend`).
+        through :func:`~repro.simulation.backends.resolve_backend`).
     cone_cache:
         Optional externally shared fanout-cone cache.
     stream_budget:
@@ -195,10 +195,10 @@ class FaultSimSession:
                  backend: "str | Backend | None" = None,
                  cone_cache: dict[str, list[str]] | None = None,
                  stream_budget: int | None = None):
-        from repro.simulation.backends import resolve_fault_backend
+        from repro.simulation.backends import resolve_backend
         from repro.simulation.streaming import resolve_stream_budget
         self.circuit = circuit
-        self.engine = resolve_fault_backend(backend)
+        self.engine = resolve_backend(backend)
         self.cone_cache: dict[str, list[str]] = \
             {} if cone_cache is None else cone_cache
         self.stream_budget = resolve_stream_budget(stream_budget)

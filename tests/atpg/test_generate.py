@@ -21,7 +21,7 @@ def _sharded_atpg(design):
     from repro.simulation.backends import ShardedBackend
     backend = ShardedBackend(shards=2, min_faults_per_shard=1)
     vectors = generate_tests(design, AtpgConfig(seed=1),
-                             fault_backend=backend).vectors
+                             backend=backend).vectors
     return vectors, [worker.pid for worker in active_shared_pool()._workers]
 
 
@@ -159,7 +159,7 @@ class TestSharedPoolRouting:
         backend = ShardedBackend(shards=2, min_faults_per_shard=1)
         try:
             sharded = generate_tests(s27_design, AtpgConfig(seed=1),
-                                     fault_backend=backend)
+                                     backend=backend)
             # the pool persists for subsequent calls on warm workers
             assert active_shared_pool() is not None
             # ... but is detached from the backend again afterwards
@@ -181,7 +181,7 @@ class TestSharedPoolRouting:
         # the meta-backend runs inline and no pool should be spawned.
         backend = ShardedBackend(shards=2, min_faults_per_shard=10_000)
         generate_tests(s27_design, AtpgConfig(seed=1),
-                       fault_backend=backend)
+                       backend=backend)
         assert active_shared_pool() is None
 
     def test_explicit_pool_is_honoured(self, s27_design):
@@ -197,7 +197,7 @@ class TestSharedPoolRouting:
             backend = ShardedBackend(shards=2, min_faults_per_shard=1,
                                      pool=pool)
             result = generate_tests(s27_design, AtpgConfig(seed=1),
-                                    fault_backend=backend)
+                                    backend=backend)
             # an attached pool wins: no shared pool gets created
             assert active_shared_pool() is None
             assert backend.pool is pool

@@ -56,6 +56,18 @@ class TestSpecExpansion:
         with pytest.raises(ConfigError, match="ivc_trails"):
             job.flow_config()
 
+    @pytest.mark.parametrize("spec_kwargs", [
+        {"base": {"fault_backend": "sharded"}},
+        {"overrides": ({"fault_backend": "numpy"},)},
+    ])
+    def test_removed_fault_engine_key_rejected(self, spec_kwargs):
+        """One engine per flow: a spec still naming a separate
+        fault-simulation engine fails cleanly instead of being
+        ignored."""
+        job = CampaignSpec(circuits=("s27",), **spec_kwargs).expand()[0]
+        with pytest.raises(ConfigError, match="fault_backend"):
+            job.flow_config()
+
     def test_seed_zero_loads_circuit_with_seed_one(self):
         job = CampaignSpec(circuits=("s27",), seeds=(0,)).expand()[0]
         assert job.seed == 0

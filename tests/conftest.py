@@ -32,6 +32,20 @@ def _reset_session_runtime_options():
     set_session_defaults(RuntimeOptions())
 
 
+@pytest.fixture(autouse=True)
+def _shutdown_shared_pool():
+    """Stop the process-wide shared worker pool after every test.
+
+    ATPG under a sharding engine (e.g. ``REPRO_SIM_BACKEND=sharded``)
+    starts :func:`repro.campaign.pool.ensure_shared_pool` and leaves it
+    running for later calls; without this a test that asserts no shared
+    pool is active would depend on which tests ran before it.
+    """
+    yield
+    from repro.campaign.pool import shutdown_shared_pool
+    shutdown_shared_pool()
+
+
 @pytest.fixture
 def s27():
     """The real ISCAS89 s27 circuit (4 PI, 1 PO, 3 DFF)."""

@@ -20,59 +20,27 @@ class TestFlowConfig:
         {"max_backtracks": -1},
         {"mux_delay_margin_ps": -5.0},
         {"backend": "warp"},
-        {"fault_backend": "warp"},
         {"shards": 0},
-        {"shards": 2, "fault_backend": "numpy"},
+        {"shards": 2, "backend": "numpy"},
+        {"stream_budget": -1},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             FlowConfig(**kwargs)
 
-    def test_fault_backend_defaults_to_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
-        assert FlowConfig(backend="numpy") \
-            .fault_simulation_backend() == "numpy"
-        assert FlowConfig().fault_simulation_backend() is None
-
-    def test_explicit_fault_backend_wins(self):
-        config = FlowConfig(backend="bigint", fault_backend="numpy")
-        assert config.fault_simulation_backend() == "numpy"
-
-    def test_fault_env_outranks_plain_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "numpy")
-        config = FlowConfig(backend="bigint")
-        assert config.fault_simulation_backend() == "numpy"
-
-    def test_explicit_fault_backend_outranks_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "numpy")
-        config = FlowConfig(backend="bigint", fault_backend="bigint")
-        assert config.fault_simulation_backend() == "bigint"
-
-    def test_session_fault_backend_outranks_env(self, monkeypatch):
-        from repro.runtime import using
-        from repro.simulation.backends import resolve_fault_backend
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "sharded")
-        with using(fault_backend="bigint"):
-            assert FlowConfig().fault_simulation_backend() == "bigint"
-            assert resolve_fault_backend(None).name == "bigint"
-
-    def test_session_fault_backend_outranks_plain_backend(self,
-                                                          monkeypatch):
-        from repro.runtime import using
-        monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
-        with using(fault_backend="sharded"):
-            config = FlowConfig(backend="numpy")
-            assert config.fault_simulation_backend() == "sharded"
+    def test_engine_is_the_backend(self):
+        assert FlowConfig(backend="numpy").engine() == "numpy"
+        assert FlowConfig().engine() is None
 
     def test_shards_imply_sharded_backend(self):
         from repro.simulation.backends import ShardedBackend
-        spec = FlowConfig(shards=3).fault_simulation_backend()
+        spec = FlowConfig(shards=3).engine()
         assert isinstance(spec, ShardedBackend)
         assert spec.shards == 3
+        assert FlowConfig(backend="sharded", shards=3).engine().shards == 3
 
     def test_sharded_without_shard_count_uses_registry_default(self):
-        config = FlowConfig(fault_backend="sharded")
-        assert config.fault_simulation_backend() == "sharded"
+        assert FlowConfig(backend="sharded").engine() == "sharded"
 
     def test_atpg_seed_derived_from_master(self):
         config = FlowConfig(seed=99)
@@ -113,7 +81,6 @@ class TestConfigHash:
     def test_runtime_fields_excluded(self):
         base = FlowConfig().config_hash()
         assert FlowConfig(backend="numpy").config_hash() == base
-        assert FlowConfig(fault_backend="numpy").config_hash() == base
         assert FlowConfig(shards=4).config_hash() == base
         # streaming, tracing and the array namespace are bit-identical
         # by contract -> never cache-key ingredients

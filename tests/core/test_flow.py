@@ -88,6 +88,33 @@ class TestFlowOptions:
         assert a.reports["traditional"] != b.reports["traditional"]
 
 
+class TestOneEngine:
+    def test_pinned_shards_give_every_step_one_sharded_engine(
+            self, monkeypatch):
+        """``FlowConfig(shards=N)`` runs every step that takes an engine
+        on the same ``ShardedBackend`` instance, not just ATPG."""
+        import repro.core.flow as flow_module
+        from repro.simulation.backends import ShardedBackend
+
+        seen: dict[str, list] = {}
+        for step in ("generate_tests", "monte_carlo_observability",
+                     "random_fill_search", "evaluate_scan_power"):
+            original = getattr(flow_module, step)
+
+            def recording(*args, _step=step, _original=original,
+                          **kwargs):
+                seen.setdefault(_step, []).append(kwargs["backend"])
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(flow_module, step, recording)
+
+        ProposedFlow(FlowConfig(seed=1, shards=2)).run(builders.s27())
+        engines = [engine for calls in seen.values() for engine in calls]
+        assert len(seen) == 4 and len(engines) == 6
+        assert isinstance(engines[0], ShardedBackend)
+        assert engines[0].shards == 2
+        assert all(engine is engines[0] for engine in engines)
+
+
 class TestShiftModeInvariant:
     def test_blocked_lines_do_not_toggle_during_shift(self, s27_result):
         """Lines the pattern search fixed to binary values must show

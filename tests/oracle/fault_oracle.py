@@ -32,7 +32,7 @@ from repro.atpg.faultsim import FaultSimResult, scalar_replay
 from repro.atpg.generate import AtpgConfig, TestSet
 from repro.netlist.circuit import Circuit
 from repro.scan.testview import ScanDesign
-from repro.simulation.backends import Backend, resolve_fault_backend
+from repro.simulation.backends import Backend, resolve_backend
 from repro.simulation.bitsim import pack_input_vectors
 
 
@@ -50,7 +50,7 @@ class PerBatchSession:
     def __init__(self, circuit: Circuit,
                  backend: str | Backend | None = None):
         self.circuit = circuit
-        self.engine = resolve_fault_backend(backend)
+        self.engine = resolve_backend(backend)
         self.cone_cache: dict[str, list[str]] = {}
 
     def simulate(self, faults: Sequence[Fault],

@@ -156,7 +156,7 @@ class TestGeneratedTestSetsIdentical:
         config = AtpgConfig(seed=seed, max_random_batches=4)
         reference = reference_generate_tests(design, config, backend="bigint")
         for name in ("bigint", "numpy"):
-            planned = generate_tests(design, config, fault_backend=name)
+            planned = generate_tests(design, config, backend=name)
             assert planned.vectors == reference.vectors, name
             assert planned.n_detected == reference.n_detected, name
             assert planned.n_faults == reference.n_faults, name

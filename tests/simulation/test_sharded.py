@@ -14,7 +14,6 @@ from repro.errors import SimulationError
 from repro.simulation.backends import (
     ShardedBackend,
     get_backend,
-    resolve_fault_backend,
 )
 from repro.simulation.backends.sharded import (
     DEFAULT_SHARDS_ENV,
@@ -132,26 +131,6 @@ class TestDelegation:
                              backend="bigint")
         assert got.detected == ref.detected
         assert got.remaining == ref.remaining
-
-
-class TestFaultBackendResolution:
-    def test_none_resolves_to_session_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
-        from repro.simulation.backends import default_backend_name
-        assert resolve_fault_backend(None).name == default_backend_name()
-
-    def test_env_override_applies_to_fault_sim_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "sharded")
-        assert resolve_fault_backend(None).name == "sharded"
-        from repro.simulation.backends import (
-            default_backend_name,
-            resolve_backend,
-        )
-        assert resolve_backend(None).name == default_backend_name()
-
-    def test_explicit_spec_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "sharded")
-        assert resolve_fault_backend("numpy").name == "numpy"
 
 
 class TestPooledDispatch:

@@ -87,35 +87,18 @@ class TestExperimentsMd:
         assert "s27" in text
 
 
-class TestFaultBackendFlags:
-    def test_run_with_fault_backend(self, capsys):
-        assert main(["--seed", "1", "--fault-backend", "numpy",
-                     "run", "s27"]) == 0
-        out = capsys.readouterr().out
-        assert "improvement vs traditional" in out
-
-    def test_table1_with_sharded_fault_backend(self, capsys):
+class TestEngineFlags:
+    def test_table1_with_sharded_backend(self, capsys):
         # Tiny circuit: the sharded meta-backend takes its inline path,
         # results are bit-identical either way.
-        assert main(["--seed", "1", "--fault-backend", "sharded",
+        assert main(["--seed", "1", "--backend", "sharded",
                      "--shards", "2", "table1", "s27", "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert "fault=sharded" in out
-
-    def test_unknown_fault_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--fault-backend", "warp", "list"])
-
-    def test_bad_fault_backend_env_is_clean_error(self, capsys,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "warp")
-        assert main(["list"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown simulation backend" in err
+        assert "Engine: sharded" in out
 
     def test_bad_shards_env_is_clean_error(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_SHARDS", "abc")
-        assert main(["--fault-backend", "sharded", "list"]) == 2
+        assert main(["--backend", "sharded", "list"]) == 2
         err = capsys.readouterr().err
         assert "REPRO_SIM_SHARDS" in err
 
@@ -124,9 +107,11 @@ class TestFaultBackendFlags:
         assert "--shards" in capsys.readouterr().err
 
     def test_shards_with_non_sharded_backend_rejected(self, capsys):
-        assert main(["--fault-backend", "numpy", "--shards", "2",
-                     "list"]) == 2
-        assert "sharded" in capsys.readouterr().err
+        assert main(["--backend", "numpy", "--shards", "2", "list"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-power: error: ")
+        assert "'sharded'" in err and "'numpy'" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 class TestArgErrors:

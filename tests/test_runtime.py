@@ -15,9 +15,8 @@ from repro.runtime import (
 
 #: Every runtime knob, one field each; growing the set is a deliberate
 #: API change, not a side effect.
-RUNTIME_OPTION_FIELDS = {"backend", "fault_backend", "shards",
-                         "stream_budget", "trace", "array_namespace",
-                         "chaos"}
+RUNTIME_OPTION_FIELDS = {"backend", "shards", "stream_budget", "trace",
+                         "array_namespace", "chaos"}
 
 
 class TestRuntimeOptionsValidation:
@@ -46,25 +45,20 @@ class TestRuntimeOptionsValidation:
         with pytest.raises(ConfigError, match="backend"):
             RuntimeOptions(backend="nope")
 
-    def test_unknown_fault_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            RuntimeOptions(fault_backend="nope")
-
     def test_shards_must_be_positive(self):
         with pytest.raises(ConfigError, match="shards"):
-            RuntimeOptions(fault_backend="sharded", shards=0)
+            RuntimeOptions(shards=0)
 
-    def test_shards_require_sharded_fault_backend(self):
+    def test_shards_require_sharded_backend(self):
         with pytest.raises(ConfigError, match="sharded"):
-            RuntimeOptions(fault_backend="bigint", shards=2)
+            RuntimeOptions(backend="bigint", shards=2)
 
     def test_stream_budget_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="stream_budget"):
             RuntimeOptions(stream_budget=-1)
 
     def test_valid_combination_accepted(self):
-        options = RuntimeOptions(backend="bigint",
-                                 fault_backend="sharded", shards=2,
+        options = RuntimeOptions(backend="sharded", shards=2,
                                  stream_budget=0, trace="",
                                  array_namespace="numpy")
         assert options.shards == 2
@@ -137,24 +131,22 @@ class TestPrecedence:
 
     def test_backend(self, monkeypatch):
         from repro.simulation.backends import default_backend_name
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         assert default_backend_name() == "bigint"
         monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
         set_session_defaults(backend="bigint")
         assert default_backend_name() == "bigint"  # session > env
 
-    def test_fault_backend_falls_back_to_backend_chain(self,
-                                                       monkeypatch):
-        from repro.simulation.backends import default_fault_backend_name
-        monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
-        set_session_defaults(backend="numpy")
-        assert default_fault_backend_name() == "numpy"
-        set_session_defaults(backend="numpy", fault_backend="bigint")
-        assert default_fault_backend_name() == "bigint"
+    def test_session_shards_select_sharded(self, monkeypatch):
+        from repro.simulation.backends import default_backend_name
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
+        set_session_defaults(shards=2)
+        assert default_backend_name() == "sharded"  # session > env
 
     def test_sharded_shard_count(self, monkeypatch):
         from repro.simulation.backends import ShardedBackend
         monkeypatch.setenv("REPRO_SIM_SHARDS", "7")
-        set_session_defaults(fault_backend="sharded", shards=3)
+        set_session_defaults(shards=3)
         assert ShardedBackend().configured_shards() == 3  # session > env
         assert ShardedBackend(shards=2).configured_shards() == 2
 
